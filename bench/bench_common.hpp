@@ -106,24 +106,6 @@ class flag_parser {
   std::string usage_;
 };
 
-/// Strict `--threads N` flag shared by the engine benches: 0 (flag absent)
-/// keeps the cooperative single-thread engine; N >= 1 switches the solver to
-/// execution_mode::parallel_threads with N engine workers, making scaling
-/// curves reproducible from the CLI. Unknown arguments abort with usage.
-inline std::size_t parse_threads_flag(int argc, char** argv) {
-  flag_parser flags(argc, argv);
-  const std::size_t threads = flags.positive_uint("--threads", 0);
-  flags.finish();
-  return threads;
-}
-
-/// Applies a --threads value to a solver config (no-op for 0).
-inline void apply_threads(core::solver_config& config, std::size_t threads) {
-  if (threads == 0) return;
-  config.mode = runtime::execution_mode::parallel_threads;
-  config.num_threads = threads;
-}
-
 /// The paper's canonical phase order (chart legends of Figs. 3-6).
 inline const std::vector<std::string>& phase_order() {
   static const std::vector<std::string> order = {

@@ -12,17 +12,13 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dsteiner;
-  const std::size_t threads = bench::parse_threads_flag(argc, argv);
   bench::print_header(
       "Fig. 3: strong scaling, phase breakdown (simulated parallel time)",
       "paper Fig. 3",
       "Paper speedups over smallest scale: 1.3x-1.8x (2x ranks), "
-      "1.8x-2.9x (4x ranks). Pass --threads N for the threaded engine.");
-  if (threads != 0) {
-    std::printf("engine: parallel_threads, %zu workers\n\n", threads);
-  }
+      "1.8x-2.9x (4x ranks).");
 
   const int rank_counts[] = {4, 8, 16, 32};
   for (const char* key : {"FRS", "UKW", "CLW", "WDC"}) {
@@ -37,7 +33,6 @@ int main(int argc, char** argv) {
       for (const int ranks : rank_counts) {
         core::solver_config config;
         config.num_ranks = ranks;
-        bench::apply_threads(config, threads);
         util::timer wall;
         const auto result = core::solve_steiner_tree(ds.graph, seeds, config);
         const double wall_seconds = wall.seconds();

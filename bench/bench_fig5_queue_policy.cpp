@@ -9,18 +9,12 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dsteiner;
-  const std::size_t threads = bench::parse_threads_flag(argc, argv);
   bench::print_header("Fig. 5: FIFO vs priority queue, runtime by phase",
                       "paper Fig. 5",
                       "Paper speedups: LVJ 13.1x, FRS 3.5x, UKW 6.2x "
-                      "(|S|=100). Pass --threads N to run both policies on\n"
-                      "the threaded engine (identical trees, wall time "
-                      "scales with cores).");
-  if (threads != 0) {
-    std::printf("engine: parallel_threads, %zu workers\n\n", threads);
-  }
+                      "(|S|=100).");
 
   for (const char* key : {"LVJ", "FRS", "UKW"}) {
     const auto ds = io::load_dataset(key);
@@ -34,7 +28,6 @@ int main(int argc, char** argv) {
       core::solver_config config;
       config.policy = policy;
       config.batch_size = 16;  // finer interleaving stresses queue ordering
-      bench::apply_threads(config, threads);
       util::timer wall;
       const auto result = core::solve_steiner_tree(ds.graph, seeds, config);
       const auto phases = bench::phase_sim_seconds(result, config.costs);

@@ -444,10 +444,9 @@ int run_cost_model_mode(const graph::csr_graph& g,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strict local flag parsing: --threads N (engine workers per solve), --qos
-  // (priority-admission experiment) and --overlap (fragment-reuse
+  // Strict local flag parsing: --qos (priority-admission experiment),
+  // --overlap (fragment-reuse experiment) and --cost-model (admission-model
   // experiment) instead of the throughput and latency sections.
-  std::size_t engine_threads = 0;
   bool qos = false;
   bool overlap = false;
   bool cost_model = false;
@@ -468,21 +467,8 @@ int main(int argc, char** argv) {
       g_debug_endpoint = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const char* text = argv[++i];
-      char* end = nullptr;
-      const unsigned long long value =
-          text[0] == '-' ? 0 : std::strtoull(text, &end, 10);
-      if (end == nullptr || *end != '\0' || value == 0) {
-        std::fprintf(stderr, "%s: --threads expects a positive integer\n",
-                     argv[0]);
-        return 2;
-      }
-      engine_threads = static_cast<std::size_t>(value);
-      continue;
-    }
     std::fprintf(stderr,
-                 "usage: %s [--threads N] [--qos] [--overlap] [--cost-model] "
+                 "usage: %s [--qos] [--overlap] [--cost-model] "
                  "[--debug-endpoint]\n",
                  argv[0]);
     return 2;
@@ -493,7 +479,6 @@ int main(int argc, char** argv) {
     core::solver_config mode_solver;
     mode_solver.num_ranks = 8;
     mode_solver.allow_disconnected_seeds = true;
-    bench::apply_threads(mode_solver, engine_threads);
     if (cost_model) return run_cost_model_mode(data.graph, mode_solver);
     return qos ? run_qos_mode(data.graph, mode_solver)
                : run_overlap_mode(data.graph, mode_solver);
@@ -503,9 +488,7 @@ int main(int argc, char** argv) {
       "Service throughput: queries/sec and per-path latency",
       "the serving-layer extension (beyond the paper's single-query runs)",
       "Paths: cold = full Alg. 3, hit = result cache, warm = seed-delta "
-      "repair.\nAll paths return bit-identical trees (determinism). Pass "
-      "--threads N to\ngive each solve N threaded-engine workers "
-      "(intra-query parallelism).");
+      "repair.\nAll paths return bit-identical trees (determinism).");
 
   const io::dataset data = io::load_dataset("CTS");
   const graph::csr_graph& g = data.graph;
@@ -519,7 +502,6 @@ int main(int argc, char** argv) {
   // Edit deltas may pick seeds outside the largest component; serve forests
   // rather than failing the query (the interactive sessions do the same).
   solver.allow_disconnected_seeds = true;
-  bench::apply_threads(solver, engine_threads);
 
   // ---- 1. throughput vs worker threads -------------------------------------
   {

@@ -2,8 +2,6 @@
 // the warm-start path (warm_start.cpp). Not part of the public API.
 #pragma once
 
-#include <algorithm>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -13,7 +11,6 @@
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/dist_graph.hpp"
-#include "runtime/parallel/worker_pool.hpp"
 #include "runtime/visitor_engine.hpp"
 
 namespace dsteiner::core::detail {
@@ -25,31 +22,16 @@ namespace dsteiner::core::detail {
 [[nodiscard]] std::vector<graph::vertex_id> dedup_seeds(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds);
 
-/// Engine configuration plus the persistent worker pool that backs it in
-/// parallel_threads mode. One context lives for a whole solve, so every
-/// engine phase (Voronoi, local min edge, tree edge) reuses the same
-/// threads instead of respawning per phase.
-struct engine_context {
-  runtime::engine_config config;
-  std::optional<runtime::parallel::worker_pool> pool;
-
-  explicit engine_context(const solver_config& solver)
-      : config{solver.policy, solver.mode, solver.batch_size, solver.costs} {
-    config.budget = solver.budget;  // engines poll the checkpoint per round
-    if (solver.trace != nullptr) config.probe = &solver.trace->probe();
-    if (solver.mode != runtime::execution_mode::parallel_threads) return;
-    const std::size_t want =
-        solver.num_threads != 0 ? solver.num_threads
-                                : runtime::parallel::worker_pool::default_threads();
-    config.num_threads =
-        std::min(want, static_cast<std::size_t>(std::max(1, solver.num_ranks)));
-    pool.emplace(config.num_threads);
-    config.pool = &*pool;
-  }
-
-  engine_context(const engine_context&) = delete;
-  engine_context& operator=(const engine_context&) = delete;
-};
+/// The engine configuration every phase of a solve runs with: the solver's
+/// scheduling knobs plus its cancellation budget and trace probe.
+[[nodiscard]] inline runtime::engine_config make_engine_config(
+    const solver_config& solver) {
+  runtime::engine_config config{solver.policy, solver.mode, solver.batch_size,
+                                solver.costs};
+  config.budget = solver.budget;  // the engine polls the checkpoint per round
+  if (solver.trace != nullptr) config.probe = &solver.trace->probe();
+  return config;
+}
 
 /// Opens a solver-phase span: stamps the probe's phase label (so engine
 /// samples taken during the phase carry it) and remembers the start offset.

@@ -1,7 +1,6 @@
 #include "core/steiner_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_set>
@@ -160,11 +159,8 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   result.delegate_count = dgraph.delegate_count();
   result.memory.partition_bytes = dgraph.memory_bytes();
 
-  const engine_context context(config);
-  const runtime::engine_config& engine = context.config;
-  // The communicator borrows the solve's worker pool (null in async mode) to
-  // parallelize the allreduce_map replication fan-out between engine phases.
-  const runtime::communicator comm(config.num_ranks, config.costs, engine.pool);
+  const runtime::engine_config engine = make_engine_config(config);
+  const runtime::communicator comm(config.num_ranks, config.costs);
   comm.reset_peak_buffer();
 
   // Phase-1 scheduling: bucketed growth runs phase 1 (and only phase 1) as
@@ -203,8 +199,8 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   {
     phase_span span(config.trace, runtime::phase_names::voronoi, config.costs);
     assist_stats astats;
-    std::atomic<std::uint64_t> pruned{0};
-    std::atomic<std::uint64_t> tiles{0};
+    std::uint64_t pruned = 0;
+    std::uint64_t tiles = 0;
     const voronoi_tiling tiling{&tiles};
     runtime::phase_metrics metrics;
     if (assists.empty()) {
@@ -226,9 +222,9 @@ steiner_result solve_cold(const graph::csr_graph& graph,
     if (config.growth == runtime::growth_mode::bucketed) {
       result.growth.buckets_processed = metrics.buckets_processed;
       result.growth.bucket_pruned = metrics.bucket_pruned;
-      result.growth.tiles_emitted = tiles.load(std::memory_order_relaxed);
+      result.growth.tiles_emitted = tiles;
     }
-    astats.pruned_visitors = pruned.load(std::memory_order_relaxed);
+    astats.pruned_visitors = pruned;
     if (assist_out != nullptr) *assist_out = astats;
     if (config.trace != nullptr && !assists.empty()) {
       config.trace->add_event("fragments_injected",
@@ -301,22 +297,6 @@ obs::query_features extract_query_features(graph::vertex_id num_vertices,
   f.x[qf::k_log_arcs] = log_m;
   f.x[qf::k_seeds_log_n] = seeds * log_n;
   f.x[qf::k_seeds_sq] = seeds * seeds;
-  // Resolve the engine mode and worker grant exactly as engine_context will,
-  // so admission-time predictions price the threads the solve actually gets.
-  const bool threaded =
-      config.mode == runtime::execution_mode::parallel_threads;
-  std::size_t workers = 1;
-  if (threaded) {
-    const std::size_t want =
-        config.num_threads != 0
-            ? config.num_threads
-            : runtime::parallel::worker_pool::default_threads();
-    workers = std::min(
-        want, static_cast<std::size_t>(std::max(1, config.num_ranks)));
-  }
-  f.x[qf::k_threaded] = threaded ? 1.0 : 0.0;
-  f.x[qf::k_inv_threads] =
-      1.0 / static_cast<double>(std::max<std::size_t>(1, workers));
   f.x[qf::k_bucketed] =
       config.growth == runtime::growth_mode::bucketed ? 1.0 : 0.0;
   return f;

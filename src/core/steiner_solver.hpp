@@ -47,15 +47,10 @@ struct solver_config {
   std::uint64_t delegate_threshold = 1024;
   /// Visitors a rank drains per scheduling round.
   std::size_t batch_size = 64;
-  /// Worker threads for execution_mode::parallel_threads (ignored by the
-  /// other modes): 0 = one per hardware thread, capped at num_ranks. The
-  /// solve output and simulated metrics are invariant in this value — only
-  /// wall time changes (the threaded engine's determinism guarantee).
-  std::size_t num_threads = 0;
   runtime::cost_model costs{};
 
-  /// Phase-1 scheduling: strict priority order (default; bit-identical
-  /// metrics across engines/thread counts) or delta-stepping buckets
+  /// Phase-1 scheduling: strict priority order (default; deterministic
+  /// metrics) or delta-stepping buckets
   /// (faster cold solves, same output tree, schedule-dependent metrics).
   /// Only phase 1 is ever bucketed; all other phases stay strict.
   runtime::growth_mode growth = runtime::growth_mode::strict_order;
@@ -183,8 +178,8 @@ struct assist_stats {
 
 /// Admission-time feature extraction for the learned admission cost model
 /// (obs::cost_model): fills the analytic features knowable before a solve
-/// runs — |S|, graph scale, their interaction terms, and the engine
-/// mode/worker grant resolved exactly as engine_context will resolve them.
+/// runs — |S|, graph scale, their interaction terms, and the phase-1
+/// growth mode.
 /// O(1), no CSR access (callers pass epoch header counts, never materialize
 /// an overlay for this). Service-side features (seed spread, overlay
 /// fraction, warm/fragment state) are filled in by the caller.

@@ -45,9 +45,6 @@ class tree_edge_handler {
   const runtime::dist_graph* dgraph_;
   const steiner_state* state_;
   std::vector<std::vector<graph::weighted_edge>>* es_;
-  // Byte-per-vertex, not vector<bool>: under the threaded engine each rank's
-  // worker flips only its owned vertices, and bit-packing would make
-  // neighbouring vertices on different workers share a byte (a data race).
   std::vector<std::uint8_t> in_tree_;
 };
 

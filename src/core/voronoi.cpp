@@ -36,9 +36,7 @@ class voronoi_handler {
   // Oracle pruning rides on the same check: a proposed distance strictly
   // above a known-achievable upper bound can never become the target's final
   // label (nor seed a final label downstream — every product of its scatter
-  // is dominated the same way), so dropping it is output-neutral. The
-  // counter is relaxed-atomic because the threaded engine runs pre_visit
-  // concurrently across workers.
+  // is dominated the same way), so dropping it is output-neutral.
   bool pre_visit(const voronoi_visitor& v, int rank) {
     // Relays and tiles carry their own label, run on arbitrary ranks and
     // never touch vertex state — admit unconditionally.
@@ -46,9 +44,7 @@ class voronoi_handler {
     assert(dgraph_->owner(v.vj) == rank);
     (void)rank;
     if (!prune_.upper_bound.empty() && v.r > prune_.upper_bound[v.vj]) {
-      if (prune_.pruned != nullptr) {
-        prune_.pruned->fetch_add(1, std::memory_order_relaxed);
-      }
+      if (prune_.pruned != nullptr) ++*prune_.pruned;
       return false;
     }
     return std::tuple{v.r, v.t, v.vp} < state_->tuple_of(v.vj);
@@ -68,7 +64,7 @@ class voronoi_handler {
       // One contiguous arc range of a hub's scatter. Like a relay the tile
       // scatters the label it carries; if the hub was relabelled since, the
       // improving update emitted fresh tiles and these emissions lose at
-      // admission — no state read, so tiles are safe on any rank/thread.
+      // admission — no state read, so tiles are safe on any rank.
       const std::uint64_t begin =
           static_cast<std::uint64_t>(v.tile) * tile_width_;
       dgraph_->for_each_arc_in_range(
@@ -106,9 +102,7 @@ class voronoi_handler {
         tv.tile = static_cast<std::uint32_t>(i);
         out.to_rank(static_cast<int>(i % p), tv);
       }
-      if (tiles_ != nullptr) {
-        tiles_->fetch_add(ntiles, std::memory_order_relaxed);
-      }
+      if (tiles_ != nullptr) *tiles_ += ntiles;
       return true;
     }
     dgraph_->for_each_arc(v.vj, [&](graph::vertex_id vi, graph::weight_t w) {
@@ -122,7 +116,7 @@ class voronoi_handler {
   steiner_state* state_;
   voronoi_prune prune_;
   std::uint64_t tile_width_ = 0;  ///< 0 = tiling off
-  std::atomic<std::uint64_t>* tiles_ = nullptr;
+  std::uint64_t* tiles_ = nullptr;
 };
 
 }  // namespace

@@ -11,7 +11,6 @@
 // relay visitors, each enumerating only that rank's slice of the adjacency.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,14 +53,14 @@ struct voronoi_visitor {
 /// tie-break may still need them.
 struct voronoi_prune {
   std::span<const graph::weight_t> upper_bound;  ///< per vertex; empty = off
-  std::atomic<std::uint64_t>* pruned = nullptr;  ///< optional drop counter
+  std::uint64_t* pruned = nullptr;  ///< optional drop counter
 };
 
 /// Edge-tiling telemetry for bucketed growth (the tiling itself is switched
 /// by engine_config::growth + tile_threshold; the tile width is the
-/// threshold). Relaxed-atomic: tiles are emitted concurrently by workers.
+/// threshold).
 struct voronoi_tiling {
-  std::atomic<std::uint64_t>* tiles = nullptr;  ///< optional emitted-tile counter
+  std::uint64_t* tiles = nullptr;  ///< optional emitted-tile counter
 };
 
 /// Runs Alg. 4 to quiescence, filling `state`. Seeds bootstrap themselves:

@@ -95,11 +95,8 @@ steiner_result repair_solve(const graph::csr_graph& graph,
   result.delegate_count = dgraph.delegate_count();
   result.memory.partition_bytes = dgraph.memory_bytes();
 
-  const detail::engine_context context(config);
-  const runtime::engine_config& engine = context.config;
-  // Pool handoff mirrors solve_cold: collectives run between engine phases,
-  // so the per-solve worker pool is idle and can speed the allreduce fan-out.
-  const runtime::communicator comm(config.num_ranks, config.costs, engine.pool);
+  const runtime::engine_config engine = detail::make_engine_config(config);
+  const runtime::communicator comm(config.num_ranks, config.costs);
   comm.reset_peak_buffer();
 
   // Step 1 (repair): start from the donor labelling, reset invalidated

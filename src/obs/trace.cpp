@@ -53,13 +53,12 @@ void append_counter(std::string& out, const char* name, double at_seconds,
 
 }  // namespace
 
-query_trace::query_trace(const trace_config& cfg, std::size_t engine_lanes,
-                         double pre_seconds)
+query_trace::query_trace(const trace_config& cfg, double pre_seconds)
     : origin_(std::chrono::steady_clock::now() -
               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(std::max(pre_seconds, 0.0)))),
       cfg_(cfg),
-      probe_(origin_, engine_lanes, cfg.samples_per_lane) {
+      probe_(origin_, cfg.sample_capacity) {
   spans_.reserve(std::min<std::size_t>(cfg_.span_capacity, 32));
   events_.reserve(std::min<std::size_t>(cfg_.event_capacity, 32));
 }
@@ -158,27 +157,21 @@ void query_trace::finalize(std::uint64_t request_id, std::uint64_t query_id,
     summary_.messages += s.messages;
   }
   summary_.spans = spans_.size();
-  summary_.samples = probe_.total_samples();
+  summary_.samples = probe_.samples().size();
   summary_.dropped = dropped_ + probe_.dropped();
 }
 
 std::string query_trace::to_chrome_json() const {
   std::string out;
-  out.reserve(4096 + probe_.total_samples() * 160 + spans_.size() * 200);
+  out.reserve(4096 + probe_.samples().size() * 160 + spans_.size() * 200);
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 
-  // Thread naming metadata: tid 0 = service/phase spans, tid 1+w = workers.
+  // Thread naming metadata: tid 0 = service/phase spans, tid 1 = engine.
   out +=
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"service\"}},";
-  for (std::size_t w = 0; w < probe_.lanes(); ++w) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                  "\"tid\":%zu,\"args\":{\"name\":\"engine worker %zu\"}},",
-                  w + 1, w);
-    out += buf;
-  }
+      "\"args\":{\"name\":\"service\"}},"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+      "\"args\":{\"name\":\"engine\"}},";
 
   for (const auto& s : spans_) {
     char args[256];
@@ -194,46 +187,41 @@ std::string query_trace::to_chrome_json() const {
     append_instant(out, e.name, e.at_seconds, e.value);
   }
 
-  // Engine samples: aggregate rows (rank == -1) become per-worker
-  // compute/barrier slices; per-rank rows become counter tracks keyed by
-  // phase+rank so Perfetto draws one series per rank.
-  for (std::size_t w = 0; w < probe_.lanes(); ++w) {
-    for (const auto& s : probe_.lane_samples(w)) {
-      if (s.rank < 0) {
-        const double end = s.end_offset_seconds;
-        const double barrier = s.barrier_wait_seconds;
-        const double compute = s.compute_seconds;
-        char args[256];
-        if (s.bucket != UINT64_MAX) {
-          // Bucketed growth: expose the bucket index and the light/heavy
-          // relaxation split so delta tuning is visible in Perfetto.
-          std::snprintf(args, sizeof(args),
-                        "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
-                        "\"drained\":%u,\"bucket\":%" PRIu64
-                        ",\"light\":%u,\"heavy\":%u}",
-                        s.superstep, s.visitors, s.sent, s.drained, s.bucket,
-                        s.light, s.heavy);
-        } else {
-          std::snprintf(args, sizeof(args),
-                        "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
-                        "\"drained\":%u}",
-                        s.superstep, s.visitors, s.sent, s.drained);
-        }
-        // The sample is stamped at superstep end: compute ran first, then
-        // the barrier wait. Lay the slices back-to-back ending at the stamp.
-        append_complete(out, s.phase, "superstep",
-                        end - barrier - compute, compute, 1,
-                        static_cast<int>(w) + 1, args);
-        if (barrier > 0.0F) {
-          append_complete(out, "barrier_wait", "barrier", end - barrier,
-                          barrier, 1, static_cast<int>(w) + 1, "{}");
-        }
-      } else {
-        char name[64];
-        std::snprintf(name, sizeof(name), "rank %d", s.rank);
-        append_counter(out, name, s.end_offset_seconds, s.visitors, s.sent,
-                       s.backlog);
-      }
+  // Engine samples: aggregate rows (rank == -1) become compute/barrier
+  // slices on the engine track; per-rank rows become counter tracks keyed by
+  // rank so Perfetto draws one series per rank.
+  for (const auto& s : probe_.samples()) {
+    if (s.rank >= 0) {
+      char name[64];
+      std::snprintf(name, sizeof(name), "rank %d", s.rank);
+      append_counter(out, name, s.end_offset_seconds, s.visitors, s.sent,
+                     s.backlog);
+      continue;
+    }
+    const double end = s.end_offset_seconds;
+    const double barrier = s.barrier_wait_seconds;
+    const double compute = s.compute_seconds;
+    char args[256];
+    if (s.bucket != UINT64_MAX) {
+      // Bucketed growth: expose the bucket index and the light/heavy
+      // relaxation split so delta tuning is visible in Perfetto.
+      std::snprintf(args, sizeof(args),
+                    "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
+                    "\"bucket\":%" PRIu64 ",\"light\":%u,\"heavy\":%u}",
+                    s.superstep, s.visitors, s.sent, s.bucket, s.light,
+                    s.heavy);
+    } else {
+      std::snprintf(args, sizeof(args),
+                    "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u}",
+                    s.superstep, s.visitors, s.sent);
+    }
+    // The sample is stamped at superstep end: compute ran first, then the
+    // barrier wait. Lay the slices back-to-back ending at the stamp.
+    append_complete(out, s.phase, "superstep", end - barrier - compute,
+                    compute, 1, 1, args);
+    if (barrier > 0.0F) {
+      append_complete(out, "barrier_wait", "barrier", end - barrier, barrier,
+                      1, 1, "{}");
     }
   }
 

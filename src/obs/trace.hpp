@@ -6,11 +6,10 @@
 // oracle prunes, donor picks), and — through the embedded `engine_probe` —
 // per-rank, per-superstep engine activity. It is deliberately simple:
 //
-//   * spans and events are appended by ONE thread at a time (the executor
-//     worker running the solve); the engine probe's lanes carry the only
-//     concurrent writers, and those are single-writer per lane;
-//   * storage is bounded (span/event capacities, probe lane capacity) so an
-//     adversarial query cannot balloon memory — overflow drops and counts;
+//   * spans, events and engine samples are appended by ONE thread at a time
+//     (the executor worker running the solve, or net rank 0);
+//   * storage is bounded (span/event/sample capacities) so an adversarial
+//     query cannot balloon memory — overflow drops and counts;
 //   * nothing read from the trace influences the solve, preserving the
 //     bit-identity contract (tracing on/off produces identical trees).
 //
@@ -19,9 +18,9 @@
 // whole object is published read-only via shared_ptr to the query handle,
 // the slow-query log, and the /tracez debug route. `to_chrome_json()`
 // renders the standard Chrome trace_event array form, loadable in Perfetto
-// or chrome://tracing: tid 0 is the service-level span tree, tid 1+w is
-// engine worker w's compute/barrier timeline, and per-rank counter tracks
-// carry visitor/message/backlog series.
+// or chrome://tracing: tid 0 is the service-level span tree, tid 1 is the
+// engine's per-superstep compute/barrier timeline, and per-rank counter
+// tracks carry visitor/message/backlog series.
 #pragma once
 
 #include <chrono>
@@ -42,7 +41,7 @@ struct trace_config {
   bool enabled = true;
   std::size_t span_capacity = 256;        ///< max spans per query
   std::size_t event_capacity = 256;       ///< max point events per query
-  std::size_t samples_per_lane = 4096;    ///< max probe samples per worker lane
+  std::size_t sample_capacity = 4096;     ///< max engine probe samples
   /// Queries whose total latency meets this threshold are captured by the
   /// slow-query log. <= 0 disables capture.
   double slow_query_threshold_seconds = 0.250;
@@ -136,8 +135,7 @@ class query_trace {
   /// `pre_seconds` back-dates the origin so work that happened before the
   /// trace object existed (admission bookkeeping, queue wait already elapsed
   /// when tracing starts late) still lands at positive offsets.
-  query_trace(const trace_config& cfg, std::size_t engine_lanes,
-              double pre_seconds = 0.0);
+  explicit query_trace(const trace_config& cfg, double pre_seconds = 0.0);
 
   query_trace(const query_trace&) = delete;
   query_trace& operator=(const query_trace&) = delete;

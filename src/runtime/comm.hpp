@@ -14,20 +14,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/parallel/worker_pool.hpp"
 #include "runtime/perf_model.hpp"
 
 namespace dsteiner::runtime {
 
 class communicator {
  public:
-  /// `pool`, when non-null, parallelizes the replication fan-out of
-  /// allreduce_map across its workers (the solver lends its per-solve pool;
-  /// collectives run between engine phases, so the pool is idle then). Must
-  /// outlive the communicator. Null keeps every path on the calling thread.
-  explicit communicator(int num_ranks, cost_model costs,
-                        parallel::worker_pool* pool = nullptr)
-      : num_ranks_(num_ranks), costs_(costs), pool_(pool) {}
+  explicit communicator(int num_ranks, cost_model costs)
+      : num_ranks_(num_ranks), costs_(costs) {}
 
   [[nodiscard]] int num_ranks() const noexcept { return num_ranks_; }
   [[nodiscard]] const cost_model& costs() const noexcept { return costs_; }
@@ -97,31 +91,10 @@ class communicator {
       charge_collective(bytes, metrics);
       note_buffer_bytes(bytes);
     }
-    // Replicating the merged map to every rank dominates this collective at
-    // high rank counts (num_ranks full-map copies) and is embarrassingly
-    // parallel: every copy reads the same finished source. The merge pass
-    // above deliberately stays on the submitting thread — its insertion
-    // order fixes the merged map's iteration order, which downstream phases
-    // consume (G'1 construction, tree-edge seeding), so re-ordering it
-    // would break bit-identity across engines and thread counts. Copies of
-    // one fixed source carry no such hazard.
-    if (pool_ != nullptr && pool_->size() > 1 && per_rank.size() > 1 &&
-        merged.size() >= 1024) {
-      // Concurrent whole-map replica copies hold the full merged payload
-      // live at once, so the §V-F chunked bound above does not describe this
-      // path's real peak — charge the full map as the collective buffer.
-      note_buffer_bytes(items * entry_bytes);
-      const std::size_t stride = pool_->size();
-      auto* ranks = &per_rank;
-      const auto* source = &merged;
-      pool_->run([ranks, source, stride](std::size_t w) {
-        for (std::size_t r = w; r < ranks->size(); r += stride) {
-          (*ranks)[r] = *source;
-        }
-      });
-    } else {
-      for (auto& local : per_rank) local = merged;
-    }
+    // The merge order above fixes the merged map's iteration order, which
+    // downstream phases consume (G'1 construction, tree-edge seeding), so
+    // every rank receives a copy of that one map.
+    for (auto& local : per_rank) local = merged;
   }
 
   /// Allgather: concatenation of all per-rank vectors (rank order).
@@ -142,7 +115,6 @@ class communicator {
  private:
   int num_ranks_;
   cost_model costs_;
-  parallel::worker_pool* pool_ = nullptr;  ///< optional, for allreduce_map fan-out
   mutable std::uint64_t peak_buffer_bytes_ = 0;
 };
 

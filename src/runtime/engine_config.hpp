@@ -1,9 +1,7 @@
-// Execution configuration shared by the visitor engines.
-//
-// Split out of visitor_engine.hpp so the threaded backend
-// (runtime/parallel/thread_engine.hpp) and the cooperative single-thread
-// engine can both consume the same configuration without a circular include:
-// run_visitors() dispatches on execution_mode at the call site.
+// Execution knobs of the cooperative visitor engine
+// (runtime/visitor_engine.hpp): delivery mode, phase-1 growth mode and the
+// per-run engine_config. The solver builds one engine_config per solve
+// (core::detail::make_engine_config) and hands it to every engine phase.
 #pragma once
 
 #include <cstddef>
@@ -19,24 +17,16 @@ class engine_probe;
 
 namespace dsteiner::runtime {
 
-namespace parallel {
-class worker_pool;
-}  // namespace parallel
-
 enum class execution_mode {
   async,  ///< immediate delivery: communication overlaps computation
   bsp,    ///< deliveries held until the round boundary (superstep model)
-  /// Real per-rank worker threads with lock-free SPSC channels between ranks
-  /// and a counting superstep barrier (runtime/parallel/). A cold solve
-  /// scales with cores; output is bit-identical to the other modes.
-  parallel_threads,
 };
 
 /// How visitors are ordered inside a phase-1 run.
 enum class growth_mode {
   /// Strict lowest-priority-first order (the paper's optimization). The
-  /// schedule — and therefore every metric — is bit-identical across
-  /// engines and thread counts. Default everywhere.
+  /// schedule — and therefore every metric — is deterministic. Default
+  /// everywhere.
   strict_order,
   /// Delta-stepping buckets: visitors are grouped into buckets of width
   /// `bucket_delta` and a whole bucket is drained per round/superstep, in
@@ -52,12 +42,6 @@ struct engine_config {
   execution_mode mode = execution_mode::async;
   std::size_t batch_size = 64;  ///< visitors a rank drains per round
   cost_model costs{};
-
-  /// parallel_threads only: worker threads backing the per-rank execution.
-  /// 0 = one per hardware thread, capped at the rank count. Ranks are striped
-  /// over workers (rank r runs on worker r % num_threads), so any thread
-  /// count between 1 and num_ranks is valid.
-  std::size_t num_threads = 0;
 
   /// Phase-1 scheduling: strict priority order (default) or delta-stepping
   /// buckets. Only the solver's phase-1 run ever sets `bucketed`; all other
@@ -79,22 +63,14 @@ struct engine_config {
   /// wholesale, ending the run early. UINT64_MAX disables the prune.
   std::uint64_t priority_limit = UINT64_MAX;
 
-  /// parallel_threads only: borrowed persistent worker pool. When null the
-  /// engine spins up (and joins) a transient pool for the run; the solver
-  /// creates one pool per solve so all phases reuse the same threads.
-  parallel::worker_pool* pool = nullptr;
-
-  /// Cooperative cancellation/deadline checkpoint, polled once per round
-  /// (cooperative engine) or superstep (threaded engine; the vote is folded
-  /// through the barrier so every worker stops at the same superstep). Null
-  /// disables the poll. Must outlive the run.
+  /// Cooperative cancellation/deadline checkpoint, polled once per round.
+  /// Null disables the poll. Must outlive the run.
   const util::run_budget* budget = nullptr;
 
-  /// Per-superstep telemetry sink (query-scoped tracing, src/obs/). Workers
-  /// record into probe lane w (single-writer); the cooperative engine uses
-  /// lane 0. Null (the default) disables sampling entirely — the engines
-  /// never read from the probe, so execution and output are identical either
-  /// way. Must outlive the run. Same hash-exclusion rule as `budget`.
+  /// Per-round telemetry sink (query-scoped tracing, src/obs/). Null (the
+  /// default) disables sampling entirely — the engine never reads from the
+  /// probe, so execution and output are identical either way. Must outlive
+  /// the run. Same hash-exclusion rule as `budget`.
   obs::engine_probe* probe = nullptr;
 };
 

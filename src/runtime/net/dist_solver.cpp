@@ -159,7 +159,7 @@ struct rank_ctx {
       probe_sample.barrier_wait_seconds =
           static_cast<float>(scratch.recv_wait_seconds + vote_seconds);
       probe_sample.bucket = min_bucket;
-      trace->probe().record(0, probe_sample);
+      trace->probe().record(probe_sample);
     }
     if (!telemetry_on) return;
     rank_telemetry t;
@@ -234,7 +234,7 @@ struct rank_ctx {
 /// per owner), exchanges batches, then votes on termination. Under bucketed
 /// growth only visitors in globally-open buckets are drained; the rest wait,
 /// and the vote's min-fold decides the next bucket — the distributed
-/// analogue of the threaded engine's bucket schedule.
+/// analogue of the cooperative engine's globally-lowest-bucket rounds.
 phase_metrics run_voronoi(rank_ctx& ctx,
                                 std::span<const graph::vertex_id> seed_list,
                                 core::steiner_state& state,

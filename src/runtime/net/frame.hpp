@@ -109,10 +109,9 @@ struct ghost_label {
   friend bool operator==(const ghost_label&, const ghost_label&) = default;
 };
 
-/// One rank's contribution to a termination round — the same payload the
-/// threaded engine folds through parallel::superstep_barrier::aggregate:
-/// outstanding backlog (summed), cooperative-stop flag (OR-folded) and the
-/// lowest open delta-stepping bucket (min-folded; UINT64_MAX = none).
+/// One rank's contribution to a termination round: outstanding backlog
+/// (summed), cooperative-stop flag (OR-folded) and the lowest open
+/// delta-stepping bucket (min-folded; UINT64_MAX = none).
 struct bucket_vote {
   std::uint64_t outstanding = 0;
   std::uint64_t min_bucket = UINT64_MAX;

@@ -1,6 +1,5 @@
 // Superstep plumbing shared by every distributed phase: per-peer frame
-// demultiplexing and the two-phase distributed termination vote that replaces
-// the shared-memory epoch barrier.
+// demultiplexing and the two-phase distributed termination vote.
 //
 // `peer_channels` turns the backend's any-source recv() into per-peer FIFO
 // queues, so phase code can say "give me the next frame from rank 3" or
@@ -9,10 +8,9 @@
 // superstep) are parked instead of dropped. This is what makes the BSP
 // discipline safe over a transport with no global ordering.
 //
-// `termination_vote` folds the same aggregate the threaded engine's
-// superstep_barrier carries — outstanding work (sum), cooperative cancel
-// (OR), next delta-stepping bucket (min) — across ranks with an all-to-all
-// exchange, then confirms an all-idle result with a second round. The
+// `termination_vote` folds one aggregate per rank — outstanding work (sum),
+// cooperative cancel (OR), next delta-stepping bucket (min) — across ranks
+// with an all-to-all exchange, then confirms an all-idle result with a second round. The
 // confirmation round is what makes termination sound: a rank can vote idle
 // and then receive late visitors sent before the vote, so "everyone idle
 // once" is only a hypothesis until everyone re-affirms it with no traffic in

@@ -1,14 +1,14 @@
-// Persistent worker pool backing the threaded visitor engine.
+// Persistent worker pool: a fixed set of threads that all run one job.
 //
-// One pool is created per solve (or borrowed from the caller) and reused by
-// every engine phase — Voronoi growth, the local min-edge scan, tree-edge
-// walk-backs — so a solve pays thread start-up once, not once per phase.
-// run() executes one job on every worker and blocks until all return; jobs
-// receive their worker id so the engine can stripe ranks over workers.
+// The landmark oracle (service/distshare/landmark_oracle.cpp) builds its
+// shortest-path trees in waves of pool width; one pool serves every wave of
+// a build, so the build pays thread start-up once. run() executes one job on
+// every worker and blocks until all return; jobs receive their worker id so
+// the caller can stripe work over workers.
 //
 // Generation-stamped dispatch: workers sleep on a generation counter, run()
 // bumps it and waits for the completion count. The pool is deliberately not a
-// task queue — the engine owns scheduling; the pool only owns threads.
+// task queue — the caller owns scheduling; the pool only owns threads.
 #pragma once
 
 #include <condition_variable>
@@ -36,7 +36,7 @@ class worker_pool {
   [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
 
   /// Runs `j(worker_id)` on every worker and blocks until all complete.
-  /// Exceptions escaping a job terminate (engine jobs do not throw); do not
+  /// Exceptions escaping a job terminate (jobs must not throw); do not
   /// call run() from inside a job.
   void run(const job& j);
 

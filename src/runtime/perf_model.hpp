@@ -53,7 +53,7 @@ struct phase_metrics {
   std::uint64_t queue_peak_items = 0;    ///< max simultaneously queued visitors
   std::uint64_t queue_peak_bytes = 0;
   // Bucketed (delta-stepping) growth only; both stay 0 in strict order, so
-  // strict-mode bit-identity across engines/thread counts is unaffected.
+  // strict-mode metrics are unaffected.
   std::uint64_t buckets_processed = 0;   ///< distinct buckets drained
   std::uint64_t bucket_pruned = 0;       ///< visitors dropped by the bucket prune
 

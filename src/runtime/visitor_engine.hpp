@@ -11,9 +11,9 @@
 // immediately visible to later ranks in the same round — modelling the
 // communication/computation overlap of asynchronous MPI. A bulk-synchronous
 // mode (deliveries deferred to the round boundary) is provided for the
-// async-vs-BSP ablation, and execution_mode::parallel_threads swaps in the
-// threaded backend (runtime/parallel/thread_engine.hpp) with real per-rank
-// workers — run_visitors() dispatches.
+// async-vs-BSP ablation. Real message passing between ranks lives in
+// runtime/net/ (net::solve_rank); this engine is the in-process simulator the
+// paper-figure benches and the service's default solves run on.
 //
 // The simulated clock advances per round by the *maximum* per-rank work —
 // the critical path — so per-phase simulated times exhibit genuine strong-
@@ -44,7 +44,6 @@
 #include "runtime/mailbox.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/perf_model.hpp"
-#include "runtime/parallel/thread_engine.hpp"
 #include "util/timer.hpp"
 
 namespace dsteiner::runtime {
@@ -54,9 +53,8 @@ class visitor_engine {
  public:
   visitor_engine(const partitioner& parts, Handler& handler, engine_config config)
       : parts_(parts), handler_(&handler), config_(config) {
-    // batch_size 0 opts into the threaded engine's adaptive batching; the
-    // cooperative engine has no barrier to adapt against, so it just runs
-    // the default.
+    // A zero batch would drain nothing per round and never terminate; treat
+    // it as the default.
     if (config_.batch_size == 0) config_.batch_size = 64;
     bucketed_ = config_.growth == growth_mode::bucketed &&
                 config_.bucket_delta > 0;
@@ -177,8 +175,7 @@ class visitor_engine {
           *std::max_element(round_work_.begin(), round_work_.end());
       metrics_.sim_units += round_max;
       if (sampling) {
-        // One aggregate row per round (the engine runs on a single thread,
-        // so lane 0 is the only writer) plus per-rank work/backlog rows for
+        // One aggregate row per round plus per-rank work/backlog rows for
         // ranks that actually did something — these become the counter
         // tracks in the exported trace.
         obs::superstep_sample agg;
@@ -198,7 +195,7 @@ class visitor_engine {
           agg.light = round_light_;
           agg.heavy = round_heavy_;
         }
-        config_.probe->record(0, agg);
+        config_.probe->record(agg);
         for (int r = 0; r < p; ++r) {
           const double work = round_work_[static_cast<std::size_t>(r)];
           const std::size_t backlog =
@@ -210,7 +207,7 @@ class visitor_engine {
           s.backlog = static_cast<std::uint32_t>(
               std::min<std::size_t>(backlog, UINT32_MAX));
           s.work_units = static_cast<float>(work);
-          config_.probe->record(0, s);
+          config_.probe->record(s);
         }
       }
     }
@@ -286,18 +283,11 @@ class visitor_engine {
 };
 
 /// Convenience wrapper: seeds `initial` visitors and runs to quiescence.
-/// Dispatches on execution mode: parallel_threads runs on the threaded
-/// backend (runtime/parallel/), async/bsp on the cooperative engine above.
 template <typename Visitor, typename Handler>
 [[nodiscard]] phase_metrics run_visitors(const partitioner& parts,
                                          Handler& handler,
                                          std::vector<Visitor> initial,
                                          const engine_config& config) {
-  if (config.mode == execution_mode::parallel_threads) {
-    parallel::thread_engine<Visitor, Handler> engine(parts, handler, config);
-    for (auto& v : initial) engine.seed(std::move(v));
-    return engine.run();
-  }
   visitor_engine<Visitor, Handler> engine(parts, handler, config);
   for (auto& v : initial) engine.seed(std::move(v));
   return engine.run();

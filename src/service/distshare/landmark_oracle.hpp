@@ -22,7 +22,7 @@
 // Landmarks are degree/ecc-sampled: the first is the highest-degree vertex,
 // the rest maximize the minimum distance to the landmarks already chosen
 // (farthest-point sampling, which also lands one landmark per component).
-// Trees build lazily in waves on the parallel runtime's worker pool, with
+// Trees build lazily in waves on a worker pool (runtime/parallel/), with
 // cooperative cancellation checkpoints between waves.
 //
 // Epoch invalidation rides the existing edge-delta machinery instead of

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "runtime/net/dist_solver.hpp"
-#include "runtime/parallel/worker_pool.hpp"
 #include "util/hash.hpp"
 
 namespace dsteiner::service {
@@ -36,15 +35,6 @@ steiner_service::steiner_service(graph::csr_graph graph, service_config config)
       slow_log_(config.trace.slow_log_capacity),
       flight_recorder_(config.trace.flight_recorder_capacity),
       exec_(config.exec) {
-  // Core-budget split: the executor's workers provide inter-query
-  // parallelism; whatever the budget leaves per worker goes to the threaded
-  // engine inside each solve (intra-query).
-  const std::size_t budget =
-      config_.core_budget != 0 ? config_.core_budget
-                               : runtime::parallel::worker_pool::default_threads();
-  const std::size_t workers = std::max<std::size_t>(1, config_.exec.num_threads);
-  intra_query_threads_ = std::max<std::size_t>(1, budget / workers);
-  grant_worker_budget(config_.solver);
   cache_.set_live_epoch(epochs_.current()->epoch_id());
   // Anchor the oracle's validity tracking to the initial epoch; tables build
   // lazily on first demand (or via warm_distance_oracle()).
@@ -92,14 +82,6 @@ void steiner_service::kick_oracle_build(const graph::epoch_graph::ptr& epoch) {
       },
       std::move(opts));
   if (!posted) unkick();  // shed under saturation; a later cold solve re-kicks
-}
-
-void steiner_service::grant_worker_budget(
-    core::solver_config& config) const noexcept {
-  if (config.mode == runtime::execution_mode::parallel_threads &&
-      config.num_threads == 0) {
-    config.num_threads = intra_query_threads_;
-  }
 }
 
 void steiner_service::record_net_reports(
@@ -208,28 +190,25 @@ std::uint64_t steiner_service::config_hash(
   // must be hashed below — a field that drops out of the key lets two
   // distinct configs share a cache entry. These asserts force this function
   // to be revisited when either struct grows (update the expected size
-  // alongside the new hash line). Deliberate exception: num_threads is NOT
-  // hashed — the threaded engine's schedule is thread-count invariant, so
-  // the tree and every phase metric are identical across worker budgets and
-  // different budgets may share one cache entry.
-  // Deliberate exception #2: `budget` (cancellation/deadline) is NOT hashed —
+  // alongside the new hash line).
+  // Deliberate exception #1: `budget` (cancellation/deadline) is NOT hashed —
   // it is pure QoS plumbing that can only abort a solve, never change its
   // output, so budgeted and unbudgeted runs share one cache entry.
-  // Deliberate exception #3: `trace` is NOT hashed — tracing is pure
+  // Deliberate exception #2: `trace` is NOT hashed — tracing is pure
   // observation (traced and untraced solves are bit-identical), so both
   // share one cache entry.
-  // Deliberate exception #4: the growth knobs (growth, bucket_delta,
+  // Deliberate exception #3: the growth knobs (growth, bucket_delta,
   // tile_threshold) are NOT hashed — bucketed growth changes the phase-1
   // schedule and therefore the metrics, but the output tree is the same
   // lexicographic fixed point, so strict and relaxed queries deliberately
   // share one cache entry (the cached tree is always the strict tree).
-  // Deliberate exception #5: `net_telemetry` is NOT hashed — the distributed
+  // Deliberate exception #4: `net_telemetry` is NOT hashed — the distributed
   // telemetry plane is pure observation like `trace` (it moves traffic
   // totals by its own frames but never the output tree), so telemetry-on
   // and -off runs share one cache entry.
   static_assert(sizeof(runtime::cost_model) == 8 * sizeof(double),
                 "cost_model changed: update config_hash");
-  static_assert(sizeof(core::solver_config) <= 120 + sizeof(runtime::cost_model),
+  static_assert(sizeof(core::solver_config) <= 104 + sizeof(runtime::cost_model),
                 "solver_config changed: update config_hash");
   const auto f64 = [](double value) {
     return std::bit_cast<std::uint64_t>(value);
@@ -615,7 +594,6 @@ admission_estimates steiner_service::estimate_completion_seconds(
     return est;
   }
   core::solver_config solver_config = r.q.config.value_or(config_.solver);
-  grant_worker_budget(solver_config);
   // Relaxed requests will run (a cold solve) bucketed; apply the override
   // here too so the learned model prices the tier that will actually run.
   // The growth knobs are excluded from config_hash, so the key is shared.
@@ -687,7 +665,6 @@ void steiner_service::refresh_in_background(
   // key — a burst of stale hits on a hot set must not fan out into a queue
   // of identical background solves that then merely coalesce downstream.
   core::solver_config solver_config = config.value_or(config_.solver);
-  grant_worker_budget(solver_config);
   const graph::epoch_graph::ptr epoch = epochs_.current();
   const cache_key key{epoch->fingerprint(),
                       util::hash_range(seeds.data(), seeds.size(), 0x5eed),
@@ -765,7 +742,6 @@ query_result steiner_service::execute(query q, double queue_wait,
   out.epoch = epoch->epoch_id();
 
   core::solver_config solver_config = q.config.value_or(config_.solver);
-  grant_worker_budget(solver_config);
   // QoS plumbing only — budget is deliberately absent from config_hash, so
   // it must be attached after the hash-relevant fields are settled.
   solver_config.budget = budget;
@@ -779,9 +755,7 @@ query_result steiner_service::execute(query q, double queue_wait,
   // budget, the trace pointer is absent from config_hash (pure observation).
   std::shared_ptr<obs::query_trace> trace;
   if (config_.trace.enabled || sampled) {
-    const std::size_t lanes =
-        std::max<std::size_t>(1, solver_config.num_threads);
-    trace = std::make_shared<obs::query_trace>(config_.trace, lanes,
+    trace = std::make_shared<obs::query_trace>(config_.trace,
                                                admitted.seconds());
     const double pickup = trace->now_seconds();
     const double queued_at = std::max(0.0, pickup - queue_wait);

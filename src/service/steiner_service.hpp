@@ -122,12 +122,6 @@ struct service_config {
   /// short-lived deployments never recoup the build.
   bool enable_oracle = false;
   distshare::landmark_oracle::config oracle{};
-  /// Total cores split between inter-query parallelism (the executor's
-  /// workers) and intra-query parallelism (the threaded engine inside one
-  /// cold solve). 0 = hardware concurrency. When the solver runs in
-  /// execution_mode::parallel_threads with num_threads == 0, each solve is
-  /// granted max(1, core_budget / exec.num_threads) engine workers.
-  std::size_t core_budget = 0;
   /// Query-scoped tracing (obs/trace.hpp): span capture, per-superstep
   /// engine samples, the slow-query log. Pure observation — traced and
   /// untraced solves produce bit-identical trees — so it defaults on;
@@ -381,13 +375,6 @@ class steiner_service {
   [[nodiscard]] std::shared_ptr<const runtime::net::cluster_trace>
   cluster_trace_snapshot() const;
 
-  /// Engine workers the core-budget split grants a parallel_threads solve.
-  /// Computed regardless of the default solver's mode, since per-query
-  /// config overrides may opt into the threaded engine on their own.
-  [[nodiscard]] std::size_t intra_query_threads() const noexcept {
-    return intra_query_threads_;
-  }
-
   /// Hash of every output- or metrics-affecting solver_config field; part of
   /// the cache key.
   [[nodiscard]] static std::uint64_t config_hash(
@@ -481,10 +468,6 @@ class steiner_service {
   /// fingerprint (deduped by oracle_kicked_fp_); queries keep running
   /// unpruned until the tables land.
   void kick_oracle_build(const graph::epoch_graph::ptr& epoch);
-  /// Applies the core-budget split to a per-query solver config: a
-  /// parallel_threads solve with no explicit thread count gets this
-  /// service's intra-query worker grant.
-  void grant_worker_budget(core::solver_config& config) const noexcept;
   /// Folds one distributed solve's per-rank telemetry into the service's net
   /// counters and the paired modelled/measured per-superstep histograms.
   void record_net_reports(
@@ -494,7 +477,6 @@ class steiner_service {
   service_config config_;
   graph::epoch_store epochs_;
   result_cache cache_;
-  std::size_t intra_query_threads_ = 1;
 
   /// Shared distance substrate: the per-epoch fragment store and the
   /// landmark oracle (both internally synchronized).

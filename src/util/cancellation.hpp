@@ -4,8 +4,8 @@
 // bound it in time (deadline). Solves are CPU loops with no natural
 // interruption points, so stopping one is cooperative: the work polls a
 // *checkpoint* — `run_budget::check()` — at its natural round boundaries
-// (visitor-engine rounds, the threaded engine's superstep barrier, solver
-// phase transitions) and unwinds via `operation_cancelled` when the budget is
+// (visitor-engine rounds, distributed superstep votes, solver phase
+// transitions) and unwinds via `operation_cancelled` when the budget is
 // exhausted. Checkpoints are one or two relaxed atomic loads (plus a clock
 // read only when a deadline is armed), cheap enough for every superstep.
 //

@@ -274,9 +274,6 @@ TEST_P(AssistedSolve, FragmentSeededAndPrunedMatchesCold) {
   core::solver_config config;
   config.num_ranks = 8;
   config.mode = GetParam();
-  if (config.mode == runtime::execution_mode::parallel_threads) {
-    config.num_threads = 4;
-  }
   config.validate = true;
 
   for (int round = 0; round < 6; ++round) {
@@ -331,7 +328,7 @@ TEST_P(AssistedSolve, FragmentSeededAndPrunedMatchesCold) {
 INSTANTIATE_TEST_SUITE_P(Modes, AssistedSolve,
                          ::testing::Values(
                              runtime::execution_mode::async,
-                             runtime::execution_mode::parallel_threads));
+                             runtime::execution_mode::bsp));
 
 // ---- concurrent borrow stress ----------------------------------------------
 

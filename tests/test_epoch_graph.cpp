@@ -1,8 +1,7 @@
 // Epoch subsystem tests: copy-on-write overlay semantics, lazy/cheap
 // materialization, chained fingerprints, compaction, delta composition — and
 // the edge-delta warm starts built on top: a repair across a graph mutation
-// must be bit-identical to a cold solve on the mutated graph, in both the
-// sequential and the threaded engine.
+// must be bit-identical to a cold solve on the mutated graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -390,11 +389,9 @@ TEST(EdgeWarmStart, MismatchedDonorFingerprintThrows) {
 
 /// The main randomized guarantee: chains of reweight/disable(/enable) edits,
 /// with warm repairs feeding the next epoch's donor, stay bit-identical to
-/// cold solves at every step — sequential and threaded engines.
-void randomized_edge_chain(runtime::execution_mode mode, std::uint64_t rng_seed) {
-  solver_config config = quiet_solver();
-  config.mode = mode;
-  if (mode == runtime::execution_mode::parallel_threads) config.num_threads = 4;
+/// cold solves at every step.
+void randomized_edge_chain(std::uint64_t rng_seed) {
+  const solver_config config = quiet_solver();
 
   util::rng gen(rng_seed);
   epoch_store store(make_connected_graph(220, 25, rng_seed));
@@ -460,11 +457,7 @@ void randomized_edge_chain(runtime::execution_mode mode, std::uint64_t rng_seed)
 }
 
 TEST(EdgeWarmStart, RandomizedChainEqualsColdSequential) {
-  randomized_edge_chain(runtime::execution_mode::async, 0x5eed1);
-}
-
-TEST(EdgeWarmStart, RandomizedChainEqualsColdThreaded) {
-  randomized_edge_chain(runtime::execution_mode::parallel_threads, 0x5eed2);
+  randomized_edge_chain(0x5eed1);
 }
 
 /// Donors may also skip epochs: repair directly from an old epoch across a

@@ -306,7 +306,7 @@ TEST(Tracing, TracedAndUntracedSolvesAreBitIdentical) {
   const auto plain = core::solve_steiner_tree(g, seeds, solver);
 
   obs::trace_config cfg;
-  obs::query_trace trace(cfg, 1);
+  obs::query_trace trace(cfg);
   core::solver_config traced_config = solver;
   traced_config.trace = &trace;
   const auto traced = core::solve_steiner_tree(g, seeds, traced_config);
@@ -315,32 +315,7 @@ TEST(Tracing, TracedAndUntracedSolvesAreBitIdentical) {
   EXPECT_EQ(plain.total_distance, traced.total_distance);
   // Simulated metrics are part of the determinism contract too.
   EXPECT_EQ(plain.phases.total().sim_units, traced.phases.total().sim_units);
-  EXPECT_GT(trace.probe().total_samples(), 0u);
-}
-
-TEST(Tracing, ThreadedEngineBitIdenticalAndSampled) {
-  const auto g = make_connected_graph(300, 25, 43);
-  const std::vector<vertex_id> seeds{7, 80, 150, 220, 280};
-  core::solver_config solver;
-  solver.num_ranks = 8;
-  solver.mode = runtime::execution_mode::parallel_threads;
-  solver.num_threads = 4;
-
-  const auto plain = core::solve_steiner_tree(g, seeds, solver);
-
-  obs::trace_config cfg;
-  obs::query_trace trace(cfg, solver.num_threads);
-  core::solver_config traced_config = solver;
-  traced_config.trace = &trace;
-  const auto traced = core::solve_steiner_tree(g, seeds, traced_config);
-
-  EXPECT_EQ(plain.tree_edges, traced.tree_edges);
-  EXPECT_EQ(plain.total_distance, traced.total_distance);
-  EXPECT_GT(trace.probe().total_samples(), 0u);
-  // Every worker lane saw at least one superstep of the solve.
-  for (std::size_t lane = 0; lane < trace.probe().lanes(); ++lane) {
-    EXPECT_FALSE(trace.probe().lane_samples(lane).empty()) << "lane " << lane;
-  }
+  EXPECT_FALSE(trace.probe().samples().empty());
 }
 
 TEST(Tracing, ServiceHandleExposesTraceAndSlowLogCaptures) {
@@ -704,7 +679,6 @@ TEST(CostModel, RlsConvergesAndBeatsGlobalP50Baseline) {
     f.x[obs::query_features::k_log_vertices] = 10.0;  // fixed graph
     f.x[obs::query_features::k_log_arcs] = 11.5;
     f.x[obs::query_features::k_seeds_log_n] = s * 10.0;
-    f.x[obs::query_features::k_inv_threads] = 1.0;
     const double y = 0.01 + 0.002 * s + 0.0001 * s * s;
     if (model.ready()) {
       // Online evaluation: predict before this sample trains the model,
@@ -816,36 +790,33 @@ TEST(Sampling, HeadSamplingRateIsExact) {
   EXPECT_EQ(svc.slow_log().size(), 0u);
 }
 
+// Both executors: the cooperative engine (world 1) and the distributed rank
+// loop over loopback ranks (world 2).
 TEST(Sampling, SampledSolveBitIdenticalToUntracedBothEngines) {
   const auto g = make_connected_graph(300, 25, 50);
   const std::vector<vertex_id> seeds{7, 80, 150, 220, 280};
-  for (const bool threaded : {false, true}) {
+  for (const int world : {1, 2}) {
     service_config sampled_cfg = obs_config(1);
     sampled_cfg.trace.enabled = false;
     sampled_cfg.trace.sample_rate = 1.0;  // every query head-sampled
     sampled_cfg.trace.slow_query_threshold_seconds = 1e9;
     service_config plain_cfg = sampled_cfg;
     plain_cfg.trace.sample_rate = 0.0;    // never sampled
-    if (threaded) {
-      for (auto* c : {&sampled_cfg, &plain_cfg}) {
-        c->solver.mode = runtime::execution_mode::parallel_threads;
-        c->solver.num_threads = 4;
-      }
-    }
+    sampled_cfg.distributed.world = plain_cfg.distributed.world = world;
     steiner_service svc_sampled(graph::csr_graph(g), sampled_cfg);
     steiner_service svc_plain(graph::csr_graph(g), plain_cfg);
     const query_result a = svc_sampled.solve(make_query(seeds));
     const query_result b = svc_plain.solve(make_query(seeds));
 
-    EXPECT_NE(a.trace, nullptr) << "threaded=" << threaded;
-    EXPECT_EQ(b.trace, nullptr) << "threaded=" << threaded;
+    EXPECT_NE(a.trace, nullptr) << "world=" << world;
+    EXPECT_EQ(b.trace, nullptr) << "world=" << world;
     EXPECT_EQ(a.result.tree_edges, b.result.tree_edges)
-        << "threaded=" << threaded;
+        << "world=" << world;
     EXPECT_EQ(a.result.total_distance, b.result.total_distance)
-        << "threaded=" << threaded;
+        << "world=" << world;
     EXPECT_EQ(a.result.phases.total().sim_units,
               b.result.phases.total().sim_units)
-        << "threaded=" << threaded;
+        << "world=" << world;
   }
 }
 

@@ -1,15 +1,20 @@
 // Unit tests for the distributed runtime simulation: partitioning,
-// collectives, mailboxes, the visitor engine and the distributed graph view.
+// collectives, mailboxes, the visitor engine (including its cancellation
+// checkpoint), the worker pool and the distributed graph view.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <unordered_map>
 
 #include "graph/generators.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/dist_graph.hpp"
 #include "runtime/mailbox.hpp"
+#include "runtime/parallel/worker_pool.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/perf_model.hpp"
 #include "runtime/visitor_engine.hpp"
@@ -174,42 +179,6 @@ TEST(Communicator, AllreduceMapAccountingMatchesDensePath) {
   }
 }
 
-TEST(Communicator, AllreduceMapPoolFanOutChargesFullMapPeak) {
-  // Regression: the parallel replication fan-out copies whole-map replicas
-  // concurrently, so the §V-F per-chunk buffer bound recorded by the chunk
-  // loop does not describe that path's real peak. The pool branch must
-  // charge the full merged map as the collective buffer; the sequential
-  // path keeps the chunk bound.
-  using map_t = std::unordered_map<std::pair<int, int>, int, util::pair_hash>;
-  constexpr std::size_t items = 2048;  // >= the 1024 fan-out threshold
-  constexpr std::size_t chunk = 256;
-  constexpr std::uint64_t entry_bytes =
-      sizeof(std::pair<int, int>) + sizeof(int);
-  const auto build_maps = [] {
-    std::vector<map_t> maps(2);
-    for (int i = 0; i < static_cast<int>(items); ++i) {
-      maps[static_cast<std::size_t>(i) % 2][{i, i + 1}] = i;  // disjoint keys
-    }
-    return maps;
-  };
-  const auto min_val = [](int a, int b) { return std::min(a, b); };
-  phase_metrics m;
-
-  const communicator sequential(2, cost_model{});
-  auto seq_maps = build_maps();
-  sequential.reset_peak_buffer();
-  sequential.allreduce_map(seq_maps, min_val, m, chunk);
-  EXPECT_EQ(sequential.peak_buffer_bytes(), chunk * entry_bytes);
-
-  parallel::worker_pool pool(2);
-  const communicator pooled(2, cost_model{}, &pool);
-  auto pool_maps = build_maps();
-  pooled.reset_peak_buffer();
-  pooled.allreduce_map(pool_maps, min_val, m, chunk);
-  EXPECT_EQ(pooled.peak_buffer_bytes(), items * entry_bytes);
-  EXPECT_EQ(pool_maps, seq_maps);  // accounting only; same reduction
-}
-
 struct test_visitor {
   graph::vertex_id v = 0;
   std::uint64_t prio = 0;
@@ -338,6 +307,100 @@ TEST(Engine, PreVisitRejectionCounted) {
                                                    {{0, 5}}, engine_config{});
   EXPECT_EQ(metrics.visitors_processed, 0u);
   EXPECT_EQ(metrics.previsit_rejections, 1u);
+}
+
+// ---- cooperative cancellation ----------------------------------------------
+
+/// label_handler with a per-visit nap: keeps an engine run long enough that a
+/// deadline deterministically trips mid-run.
+class sleepy_label_handler {
+ public:
+  sleepy_label_handler(const graph::csr_graph& g,
+                       std::vector<std::uint64_t>& labels,
+                       std::chrono::microseconds nap)
+      : inner_(g, labels), nap_(nap) {}
+
+  bool pre_visit(const label_visitor& v, int rank) {
+    return inner_.pre_visit(v, rank);
+  }
+
+  template <typename Emitter>
+  bool visit(const label_visitor& v, int rank, Emitter& out) {
+    std::this_thread::sleep_for(nap_);
+    return inner_.visit(v, rank, out);
+  }
+
+ private:
+  label_handler inner_;
+  std::chrono::microseconds nap_;
+};
+
+TEST(EngineCancellation, PreCancelledBudgetStopsEngineImmediately) {
+  const graph::csr_graph g(graph::generate_path(32));
+  util::cancel_source source;
+  (void)source.request_cancel();
+  util::run_budget budget;
+  budget.cancel = source.token();
+  const partitioner parts(g.num_vertices(), 4, partition_scheme::hash);
+  std::vector<std::uint64_t> labels(g.num_vertices(), ~std::uint64_t{0});
+  label_handler handler(g, labels);
+  engine_config config;
+  config.budget = &budget;
+  try {
+    (void)run_visitors<label_visitor>(parts, handler, {{0, 0}}, config);
+    FAIL() << "engine ignored a cancelled budget";
+  } catch (const util::operation_cancelled& stopped) {
+    EXPECT_EQ(stopped.why(), util::cancel_reason::cancelled);
+  }
+}
+
+// The mid-run checkpoint, deterministically: a 64x64 grid with 200µs visits
+// needs seconds of work, the deadline allows ~25ms — the run *must* die at a
+// checkpoint, and the polls counter proves the cooperative path (not a fluke
+// exception) killed it.
+TEST(EngineCancellation, DeadlineStopsEngineMidRun) {
+  const graph::csr_graph g(graph::generate_grid(64, 64));
+  const partitioner parts(g.num_vertices(), 8, partition_scheme::hash);
+  std::vector<std::uint64_t> labels(g.num_vertices(), ~std::uint64_t{0});
+  sleepy_label_handler handler(g, labels, std::chrono::microseconds(200));
+  std::atomic<std::uint64_t> polls{0};
+  util::run_budget budget;
+  budget.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(25);
+  budget.polls = &polls;
+  engine_config config;
+  config.batch_size = 4;
+  config.budget = &budget;
+  try {
+    (void)run_visitors<label_visitor>(parts, handler, {{0, 0}}, config);
+    FAIL() << "engine outlived its deadline";
+  } catch (const util::operation_cancelled& stopped) {
+    EXPECT_EQ(stopped.why(), util::cancel_reason::deadline);
+  }
+  EXPECT_GT(polls.load(), 0u);  // the checkpoint actually ran
+  // The run died early: the full grid BFS never completed its labelling.
+  std::uint64_t unlabelled = 0;
+  for (const std::uint64_t label : labels) {
+    if (label == ~std::uint64_t{0}) ++unlabelled;
+  }
+  EXPECT_GT(unlabelled, 0u);
+}
+
+// ---- worker_pool ------------------------------------------------------------
+
+TEST(WorkerPool, RunsJobOnEveryWorkerAndIsReusable) {
+  parallel::worker_pool pool(3);
+  EXPECT_EQ(pool.size(), 3u);
+  for (int round = 0; round < 5; ++round) {
+    std::vector<std::atomic<int>> hits(3);
+    pool.run([&](std::size_t w) { ++hits[w]; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(WorkerPool, ZeroThreadsMeansHardwareConcurrency) {
+  parallel::worker_pool pool(0);
+  EXPECT_GE(pool.size(), 1u);
 }
 
 TEST(DistGraph, LocalVerticesPartitionTheGraph) {

@@ -539,38 +539,6 @@ TEST(Service, SnapshotExportsCountersAndLatencyHistograms) {
   EXPECT_GE(snap.cold_solve.quantile(0.99), snap.cold_solve.quantile(0.01));
 }
 
-// Core-budget split: intra-query engine workers = budget / executor workers,
-// and a budgeted parallel solve still matches the sequential tree.
-TEST(Service, CoreBudgetGrantsIntraQueryThreads) {
-  const auto g = make_connected_graph(200, 25, 32);
-  auto config = quiet_config(2);
-  config.core_budget = 8;
-  config.solver.mode = runtime::execution_mode::parallel_threads;
-  steiner_service svc(graph::csr_graph(g), config);
-  EXPECT_EQ(svc.intra_query_threads(), 4u);  // 8 cores / 2 executor workers
-  EXPECT_EQ(svc.config().solver.num_threads, 4u);
-
-  query q;
-  q.seeds = {5, 60, 110, 170};
-  const auto parallel = svc.solve(q);
-  EXPECT_EQ(parallel.kind, solve_kind::cold);
-
-  core::solver_config sequential = quiet_config(1).solver;
-  const auto reference = core::solve_steiner_tree(g, q.seeds, sequential);
-  EXPECT_EQ(parallel.result.tree_edges, reference.tree_edges);
-  EXPECT_EQ(parallel.result.total_distance, reference.total_distance);
-}
-
-// An explicit per-query thread count wins over the service grant.
-TEST(Service, ExplicitThreadCountIsNotOverridden) {
-  auto config = quiet_config(4);
-  config.core_budget = 16;
-  config.solver.mode = runtime::execution_mode::parallel_threads;
-  config.solver.num_threads = 2;
-  steiner_service svc(make_connected_graph(100, 15, 33), config);
-  EXPECT_EQ(svc.config().solver.num_threads, 2u);
-}
-
 // ---- graph epochs through the service ---------------------------------------
 
 // An edge reweight no longer rebuilds the service: the old epoch's cached

@@ -1,7 +1,7 @@
 // Tests for the request/handle service API: the priority admission queue,
 // cost-aware deadline admission, queued/solving deadline expiry, cooperative
-// cancellation (mid-cold-solve, both engines), query_handle status
-// transitions, the stale-refresh dedup token, and the QoS metrics export.
+// cancellation (mid-cold-solve), query_handle status transitions, the
+// stale-refresh dedup token, and the QoS metrics export.
 //
 // Timing strategy: every "mid-X" assertion rides on a solve that takes tens
 // of milliseconds (n = 50k ER graph ~ 90ms) while the triggering event lands
@@ -337,13 +337,6 @@ void expect_cancel_stops_cold_solve(service_config config,
 
 TEST(Cancellation, MidColdSolveSequentialEngine) {
   expect_cancel_stops_cold_solve(one_worker_config(), 54);
-}
-
-TEST(Cancellation, MidColdSolveParallelThreadsEngine) {
-  service_config config = one_worker_config();
-  config.solver.mode = runtime::execution_mode::parallel_threads;
-  config.solver.num_threads = 4;
-  expect_cancel_stops_cold_solve(config, 55);
 }
 
 // ---- deadlines --------------------------------------------------------------
