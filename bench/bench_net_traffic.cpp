@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
   const std::size_t queries = parser.positive_uint("--queries", 6);
   parser.finish();
   if (world < 2) {
-    // A 1-rank world takes the classic in-process path and moves no bytes,
-    // so every traffic assertion below would fail confusingly.
+    // A 1-rank mesh has no peers and moves no bytes (the service does not
+    // record its traffic), so every assertion below would fail confusingly.
     std::fprintf(stderr, "--world must be >= 2 (got %zu)\n", world);
     return 2;
   }

@@ -64,16 +64,12 @@ class phase_span {
   double start_ = 0.0;
 };
 
-/// Full cold solve, optionally capturing warm-start artifacts. `assists`
-/// pre-seeds phase 1 from shared SSSP fragments and/or prunes it with oracle
-/// upper bounds (both output-neutral; see solve_assists); `assist_out`, when
-/// non-null, reports how much work they absorbed.
+/// Full cold solve on the cooperative engine, optionally capturing
+/// warm-start artifacts.
 [[nodiscard]] steiner_result solve_cold(const graph::csr_graph& graph,
                                         std::span<const graph::vertex_id> seeds,
                                         const solver_config& config,
-                                        solve_artifacts* capture,
-                                        const solve_assists& assists = {},
-                                        assist_stats* assist_out = nullptr);
+                                        solve_artifacts* capture);
 
 /// Phases 3-6 of Alg. 3 (MST, pruning, tree-edge collection, result
 /// assembly), shared between cold and warm solves. `per_rank_en` must hold

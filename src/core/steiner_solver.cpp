@@ -142,9 +142,7 @@ void finish_solve(const graph::csr_graph& graph,
 steiner_result solve_cold(const graph::csr_graph& graph,
                           std::span<const graph::vertex_id> seeds,
                           const solver_config& config,
-                          solve_artifacts* capture,
-                          const solve_assists& assists,
-                          assist_stats* assist_out) {
+                          solve_artifacts* capture) {
   steiner_result result;
   if (config.budget != nullptr) config.budget->check();
   const std::vector<graph::vertex_id> seed_list = dedup_seeds(graph, seeds);
@@ -165,9 +163,7 @@ steiner_result solve_cold(const graph::csr_graph& graph,
 
   // Phase-1 scheduling: bucketed growth runs phase 1 (and only phase 1) as
   // bucketed delta-stepping with the knobs resolved here; 0-valued knobs get
-  // graph-derived defaults. The landmark oracle's largest upper bound caps the
-  // useful priority range: once every open bucket starts above it, nothing
-  // left can improve any cell and the engines drain-and-stop.
+  // graph-derived defaults.
   runtime::engine_config phase1 = engine;
   if (config.growth == runtime::growth_mode::bucketed) {
     phase1.growth = runtime::growth_mode::bucketed;
@@ -180,57 +176,22 @@ steiner_result solve_cold(const graph::csr_graph& graph,
         config.tile_threshold != 0
             ? config.tile_threshold
             : std::max<std::uint64_t>(64, 4 * avg_degree);
-    if (!assists.prune_upper_bound.empty()) {
-      phase1.priority_limit =
-          *std::max_element(assists.prune_upper_bound.begin(),
-                            assists.prune_upper_bound.end());
-    }
     result.growth.mode = runtime::growth_mode::bucketed;
     result.growth.delta = phase1.bucket_delta;
     result.growth.tile_threshold = phase1.tile_threshold;
   }
 
-  // Step 1: Voronoi cells (Alg. 3 line 12). With assists, the state is
-  // pre-seeded from shared fragments (the initial frontier shrinks to the
-  // fragment surface) and the admission check drops visitors the landmark
-  // bound proves non-improving — same fixed point, less relaxation.
+  // Step 1: Voronoi cells (Alg. 3 line 12).
   steiner_state state(graph.num_vertices());
   result.memory.state_bytes = state.memory_bytes() + graph.num_vertices() / 8;
   {
     phase_span span(config.trace, runtime::phase_names::voronoi, config.costs);
-    assist_stats astats;
-    std::uint64_t pruned = 0;
     std::uint64_t tiles = 0;
-    const voronoi_tiling tiling{&tiles};
-    runtime::phase_metrics metrics;
-    if (assists.empty()) {
-      metrics = compute_voronoi_cells(dgraph, seed_list, state, phase1,
-                                      voronoi_prune{}, tiling);
-    } else {
-      std::vector<voronoi_visitor> initial = inject_fragments(
-          graph, assists.fragments, seed_list, state, &astats.preseeded_vertices);
-      for (const sssp_fragment_view& frag : assists.fragments) {
-        if (std::binary_search(seed_list.begin(), seed_list.end(), frag.seed)) {
-          ++astats.fragments_injected;
-        }
-      }
-      astats.frontier_visitors = initial.size();
-      const voronoi_prune prune{assists.prune_upper_bound, &pruned};
-      metrics = repair_voronoi_cells(dgraph, std::move(initial), state, phase1,
-                                     prune, tiling);
-    }
+    const runtime::phase_metrics metrics = compute_voronoi_cells(
+        dgraph, seed_list, state, phase1, voronoi_tiling{&tiles});
     if (config.growth == runtime::growth_mode::bucketed) {
       result.growth.buckets_processed = metrics.buckets_processed;
-      result.growth.bucket_pruned = metrics.bucket_pruned;
       result.growth.tiles_emitted = tiles;
-    }
-    astats.pruned_visitors = pruned;
-    if (assist_out != nullptr) *assist_out = astats;
-    if (config.trace != nullptr && !assists.empty()) {
-      config.trace->add_event("fragments_injected",
-                              static_cast<double>(astats.fragments_injected));
-      config.trace->add_event("oracle_pruned_visitors",
-                              static_cast<double>(astats.pruned_visitors));
     }
     result.phases.phase(runtime::phase_names::voronoi) = metrics;
     span.close(metrics);
@@ -273,13 +234,6 @@ steiner_result solve_steiner_tree(const graph::csr_graph& graph,
                                   std::span<const graph::vertex_id> seeds,
                                   const solver_config& config) {
   return detail::solve_cold(graph, seeds, config, nullptr);
-}
-
-steiner_result solve_steiner_tree_assisted(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solve_assists& assists, const solver_config& config,
-    solve_artifacts* capture, assist_stats* stats) {
-  return detail::solve_cold(graph, seeds, config, capture, assists, stats);
 }
 
 obs::query_features extract_query_features(graph::vertex_id num_vertices,

@@ -110,7 +110,6 @@ struct growth_stats {
   std::uint64_t tile_threshold = 0;   ///< resolved tile width
   std::uint64_t buckets_processed = 0;
   std::uint64_t tiles_emitted = 0;
-  std::uint64_t bucket_pruned = 0;    ///< visitors dropped by bucket pruning
 };
 
 struct steiner_result {
@@ -139,9 +138,10 @@ struct steiner_result {
     const solver_config& config = {});
 
 /// Cross-query assists for a cold solve (the service's shared distance
-/// substrate, service/distshare/). Both members are *output-neutral by
+/// substrate, service/distshare/), consumed by the rank loop at world 1
+/// (runtime::net::solve_loopback). Both members are *output-neutral by
 /// construction* — fragments only pre-seed state with achievable labels,
-/// bounds only drop provably non-improving visitors — so, like
+/// bounds only drop provably non-improving candidates — so, like
 /// solver_config::budget, they do not participate in the service's config
 /// hash and assisted/unassisted solves share one cache entry. The spans must
 /// outlive the solve.
@@ -151,7 +151,11 @@ struct solve_assists {
   /// are ignored.
   std::span<const sssp_fragment_view> fragments;
   /// Per-vertex upper bound on min_s d1(s, v) for this exact graph and seed
-  /// set (landmark oracle). Empty disables pruning.
+  /// set (landmark oracle). A candidate whose distance strictly exceeds its
+  /// target's bound can never become that vertex's final label, nor seed one
+  /// downstream, so dropping it at admission cannot change the fixed point.
+  /// Equal distances are always admitted: the (src, pred) tie-break may
+  /// still need them. Empty disables pruning.
   std::span<const graph::weight_t> prune_upper_bound;
 
   [[nodiscard]] bool empty() const noexcept {
@@ -166,15 +170,6 @@ struct assist_stats {
   std::size_t frontier_visitors = 0;    ///< initial visitors injected
   std::uint64_t pruned_visitors = 0;    ///< admission drops by the bound
 };
-
-/// Cold solve pre-seeded from `assists` — bit-identical to
-/// solve_steiner_tree(graph, seeds, config); only the phase-1 work (and
-/// therefore the phase metrics) shrinks. `capture`, when non-null, receives
-/// warm-start artifacts exactly as solve_steiner_tree_capture would.
-[[nodiscard]] steiner_result solve_steiner_tree_assisted(
-    const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
-    const solve_assists& assists, const solver_config& config = {},
-    solve_artifacts* capture = nullptr, assist_stats* stats = nullptr);
 
 /// Admission-time feature extraction for the learned admission cost model
 /// (obs::cost_model): fills the analytic features knowable before a solve

@@ -18,12 +18,10 @@ class voronoi_handler {
   /// vertices of degree > tile_width into ceil(degree / tile_width) edge
   /// tiles spread round-robin over ranks.
   voronoi_handler(const runtime::dist_graph& dgraph, steiner_state& state,
-                  const voronoi_prune& prune = {},
                   std::uint64_t tile_width = 0,
                   const voronoi_tiling& tiling = {})
       : dgraph_(&dgraph),
         state_(&state),
-        prune_(prune),
         tile_width_(tile_width),
         tiles_(tiling.tiles) {}
 
@@ -32,21 +30,12 @@ class voronoi_handler {
   // processing time (Alg. 4 lines 5-9 live in visit()), so a FIFO queue
   // exhibits the label-correcting cascades the paper measures in Fig. 6 and
   // the priority queue approximates Dijkstra's settling order.
-  //
-  // Oracle pruning rides on the same check: a proposed distance strictly
-  // above a known-achievable upper bound can never become the target's final
-  // label (nor seed a final label downstream — every product of its scatter
-  // is dominated the same way), so dropping it is output-neutral.
   bool pre_visit(const voronoi_visitor& v, int rank) {
     // Relays and tiles carry their own label, run on arbitrary ranks and
     // never touch vertex state — admit unconditionally.
     if (v.kind != voronoi_visitor::kind_t::normal) return true;
     assert(dgraph_->owner(v.vj) == rank);
     (void)rank;
-    if (!prune_.upper_bound.empty() && v.r > prune_.upper_bound[v.vj]) {
-      if (prune_.pruned != nullptr) ++*prune_.pruned;
-      return false;
-    }
     return std::tuple{v.r, v.t, v.vp} < state_->tuple_of(v.vj);
   }
 
@@ -114,7 +103,6 @@ class voronoi_handler {
  private:
   const runtime::dist_graph* dgraph_;
   steiner_state* state_;
-  voronoi_prune prune_;
   std::uint64_t tile_width_ = 0;  ///< 0 = tiling off
   std::uint64_t* tiles_ = nullptr;
 };
@@ -123,56 +111,28 @@ class voronoi_handler {
 
 runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
-    steiner_state& state, const runtime::engine_config& config) {
+    steiner_state& state, const runtime::engine_config& config,
+    const voronoi_tiling& tiling) {
   std::vector<voronoi_visitor> initial;
   initial.reserve(seeds.size());
   for (const graph::vertex_id s : seeds) {
     initial.push_back(voronoi_visitor{s, s, s, 0});
   }
-  return repair_voronoi_cells(dgraph, std::move(initial), state, config);
-}
-
-runtime::phase_metrics compute_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, const voronoi_tiling& tiling) {
-  std::vector<voronoi_visitor> initial;
-  initial.reserve(seeds.size());
-  for (const graph::vertex_id s : seeds) {
-    initial.push_back(voronoi_visitor{s, s, s, 0});
-  }
-  return repair_voronoi_cells(dgraph, std::move(initial), state, config, prune,
-                              tiling);
-}
-
-runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config) {
-  voronoi_handler handler(dgraph, state);
-  return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
-                               config);
-}
-
-runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune) {
-  voronoi_handler handler(dgraph, state, prune);
-  return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
-                               config);
-}
-
-runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, const voronoi_tiling& tiling) {
   // Tiling is meaningful only under bucketed growth: in strict order the
   // priority queue already interleaves hubs' scatters and extra tile
   // messages would change the bit-identical schedule.
   const std::uint64_t tile_width =
       config.growth == runtime::growth_mode::bucketed ? config.tile_threshold
                                                       : 0;
-  voronoi_handler handler(dgraph, state, prune, tile_width, tiling);
+  voronoi_handler handler(dgraph, state, tile_width, tiling);
+  return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
+                               config);
+}
+
+runtime::phase_metrics repair_voronoi_cells(
+    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
+    steiner_state& state, const runtime::engine_config& config) {
+  voronoi_handler handler(dgraph, state);
   return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
                                config);
 }

@@ -43,19 +43,6 @@ struct voronoi_visitor {
   [[nodiscard]] std::uint64_t priority() const noexcept { return r; }
 };
 
-/// Optional admission pruning for Alg. 4 (service/distshare landmark oracle).
-/// `upper_bound[v]`, when non-empty, must be a *true* upper bound on
-/// min_{s in S} d1(s, v) for the exact graph being solved: a visitor whose
-/// proposed distance strictly exceeds it is provably non-improving (its tuple
-/// can never be v's final label, and everything it would scatter is likewise
-/// dominated), so dropping it cannot change the fixed point — only the work.
-/// Equal distances are always admitted: the lexicographic (src, pred)
-/// tie-break may still need them.
-struct voronoi_prune {
-  std::span<const graph::weight_t> upper_bound;  ///< per vertex; empty = off
-  std::uint64_t* pruned = nullptr;  ///< optional drop counter
-};
-
 /// Edge-tiling telemetry for bucketed growth (the tiling itself is switched
 /// by engine_config::growth + tile_threshold; the tile width is the
 /// threshold).
@@ -64,16 +51,13 @@ struct voronoi_tiling {
 };
 
 /// Runs Alg. 4 to quiescence, filling `state`. Seeds bootstrap themselves:
-/// each s in S receives (r=0, t=s, vp=s).
-[[nodiscard]] runtime::phase_metrics compute_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
-    steiner_state& state, const runtime::engine_config& config);
-
-/// Overload with oracle pruning and tiling telemetry (bucketed growth).
+/// each s in S receives (r=0, t=s, vp=s). Under bucketed growth with a
+/// non-zero config.tile_threshold, hub scatters split into edge tiles,
+/// counted into `tiling`.
 [[nodiscard]] runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
     steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, const voronoi_tiling& tiling);
+    const voronoi_tiling& tiling = {});
 
 /// Warm-start repair: re-runs Alg. 4 to quiescence from caller-chosen initial
 /// visitors over an existing (partially valid) `state`. Used after a seed-set
@@ -86,18 +70,6 @@ struct voronoi_tiling {
 [[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
     const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
     steiner_state& state, const runtime::engine_config& config);
-
-/// Overload with oracle pruning (see voronoi_prune).
-[[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune);
-
-/// Overload with oracle pruning and tiling telemetry (bucketed growth).
-[[nodiscard]] runtime::phase_metrics repair_voronoi_cells(
-    const runtime::dist_graph& dgraph, std::vector<voronoi_visitor> initial,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_prune& prune, const voronoi_tiling& tiling);
 
 /// Fragment-injection entry point — the cross-query analogue of warm-start
 /// frontier injection. Pre-seeds a fresh `state` with the lexicographic

@@ -46,35 +46,39 @@ voronoi_assignment multi_source_voronoi(const csr_graph& graph,
   result.src.assign(n, k_no_vertex);
   result.pred.assign(n, k_no_vertex);
 
-  // Heap entries carry the full tie-break tuple so the first settled entry
-  // per vertex is the lexicographic minimum of (distance, seed, pred).
+  // Relax at push: a vertex's (distance, seed, pred) label is written as soon
+  // as a candidate strictly improves it, and only improving candidates enter
+  // the heap. An entry whose tuple no longer equals its vertex's label was
+  // superseded after it was pushed and is skipped on pop, so each label is
+  // scattered at most once. Labels only ever decrease, and the fixed point
+  // is the unique lexicographic minimum whatever the order.
   using entry = std::tuple<weight_t, vertex_id, vertex_id, vertex_id>;
   std::priority_queue<entry, std::vector<entry>, std::greater<>> heap;
-  for (const vertex_id s : seeds) {
-    assert(s < n);
-    heap.push({0, s, s, s});  // seeds own themselves at distance 0 (Alg. 3 line 8)
-  }
-
   const auto state_of = [&](vertex_id v) {
     return std::tuple{result.distance[v], result.src[v], result.pred[v]};
   };
+  const auto offer = [&](weight_t dist, vertex_id seed, vertex_id from,
+                         vertex_id v) {
+    if (std::tuple{dist, seed, from} >= state_of(v)) return;
+    result.distance[v] = dist;
+    result.src[v] = seed;
+    result.pred[v] = from;
+    heap.push({dist, seed, from, v});
+  };
+  for (const vertex_id s : seeds) {
+    assert(s < n);
+    offer(0, s, s, s);  // seeds own themselves at distance 0 (Alg. 3 line 8)
+  }
 
   while (!heap.empty()) {
     const auto [dist, seed, from, v] = heap.top();
     heap.pop();
-    if (std::tuple{dist, seed, from} >= state_of(v)) continue;
-    result.distance[v] = dist;
-    result.src[v] = seed;
-    result.pred[v] = from;
+    if (std::tuple{dist, seed, from} != state_of(v)) continue;  // superseded
     const auto nbrs = graph.neighbors(v);
     const auto wts = graph.weights(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const vertex_id u = nbrs[i];
-      const weight_t candidate = dist + wts[i];
       ++result.relaxations;
-      if (std::tuple{candidate, seed, v} < state_of(u)) {
-        heap.push({candidate, seed, v, u});
-      }
+      offer(dist + wts[i], seed, v, nbrs[i]);
     }
   }
   return result;

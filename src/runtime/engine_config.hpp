@@ -58,11 +58,6 @@ struct engine_config {
   /// 0 disables tiling.
   std::uint64_t tile_threshold = 0;
 
-  /// bucketed only: buckets whose start priority exceeds this bound cannot
-  /// improve any vertex (landmark-oracle upper bounds) and are dropped
-  /// wholesale, ending the run early. UINT64_MAX disables the prune.
-  std::uint64_t priority_limit = UINT64_MAX;
-
   /// Cooperative cancellation/deadline checkpoint, polled once per round.
   /// Null disables the poll. Must outlive the run.
   const util::run_budget* budget = nullptr;

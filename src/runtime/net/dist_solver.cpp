@@ -16,6 +16,8 @@
 #include "core/mst_prim.hpp"
 #include "core/solver_detail.hpp"
 #include "core/validation.hpp"
+#include "core/voronoi.hpp"
+#include "core/warm_start.hpp"
 #include "graph/delta_stepping.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/net/loopback_backend.hpp"
@@ -92,7 +94,8 @@ struct rank_ctx {
   [[nodiscard]] int rank() const noexcept { return net.rank(); }
   [[nodiscard]] int world() const noexcept { return net.world_size(); }
   [[nodiscard]] bool owns(graph::vertex_id v) const noexcept {
-    return part.owner(v) == net.rank();
+    // A one-rank mesh owns everything; skip the per-arc hash.
+    return net.world_size() == 1 || part.owner(v) == net.rank();
   }
 
   void send_all(const frame& f) {
@@ -235,10 +238,15 @@ struct rank_ctx {
 /// growth only visitors in globally-open buckets are drained; the rest wait,
 /// and the vote's min-fold decides the next bucket — the distributed
 /// analogue of the cooperative engine's globally-lowest-bucket rounds.
-phase_metrics run_voronoi(rank_ctx& ctx,
-                                std::span<const graph::vertex_id> seed_list,
-                                core::steiner_state& state,
-                                core::growth_stats& growth) {
+///
+/// `initial` holds the owned bootstrap visitors (seeds, or the frontier that
+/// core::inject_fragments left over a pre-seeded `state`). A non-empty
+/// `upper_bound` drops candidates whose distance strictly exceeds their
+/// target's bound (see core::solve_assists), counting them into `pruned`.
+phase_metrics run_voronoi(rank_ctx& ctx, std::span<const net_visitor> initial,
+                          std::span<const graph::weight_t> upper_bound,
+                          core::steiner_state& state,
+                          core::growth_stats& growth, std::uint64_t& pruned) {
   phase_metrics metrics{};
   const auto t0 = clock::now();
 
@@ -254,9 +262,30 @@ phase_metrics run_voronoi(rank_ctx& ctx,
     return bucketed ? r / delta : 0;
   };
 
+  // Relax at push: an owned vertex's label is written the moment a candidate
+  // strictly improves it, and only improving candidates are queued. A queued
+  // visitor whose tuple no longer equals its vertex's label was superseded
+  // after it was queued and is skipped when popped, so each label scatters
+  // at most once per rank. Labels only decrease, so the fixed point is the
+  // same unique lexicographic minimum relax-at-pop reaches.
+  const auto admit = [&](const net_visitor& v) {
+    if (!upper_bound.empty() && v.r > upper_bound[v.vj]) {
+      ++pruned;
+      return false;
+    }
+    if (std::tuple{v.r, v.t, v.vp} >= state.tuple_of(v.vj)) return false;
+    state.distance[v.vj] = v.r;
+    state.src[v.vj] = v.t;
+    state.pred[v.vj] = v.vp;
+    return true;
+  };
+  const auto current = [&](const net_visitor& v) {
+    return std::tuple{v.r, v.t, v.vp} == state.tuple_of(v.vj);
+  };
+
   std::vector<net_visitor> pending;
-  for (const graph::vertex_id s : seed_list) {
-    if (ctx.owns(s)) pending.push_back(net_visitor{s, s, s, 0});
+  for (const net_visitor& v : initial) {
+    if (admit(v)) pending.push_back(v);
   }
 
   std::vector<std::vector<net_visitor>> outbox(
@@ -275,6 +304,11 @@ phase_metrics run_voronoi(rank_ctx& ctx,
       worklist(visitor_after);
   std::vector<net_visitor> deferred;
   std::uint64_t bucket_limit = 0;  // seeds start in bucket 0
+  // At world 1 phase 1 is one superstep, so the vote alone would read the
+  // budget only after the whole drain: poll it every k_poll_settles settles
+  // and break to the vote, which folds the cancel bit for every rank.
+  constexpr std::uint64_t k_poll_settles = 1024;
+  const util::run_budget* const budget = ctx.config.budget;
 
   for (std::uint32_t superstep = 0;; ++superstep) {
     const std::uint64_t sent_before = ctx.net.stats().bytes_sent;
@@ -283,10 +317,13 @@ phase_metrics run_voronoi(rank_ctx& ctx,
     const std::uint64_t remote_before = metrics.messages_remote;
     const auto compute_t0 = clock::now();
 
-    // Split the backlog into this superstep's open buckets and the rest.
+    // Split the backlog into this superstep's open buckets and the rest,
+    // dropping entries superseded while they waited.
     deferred.clear();
-    for (net_visitor& v : pending) {
-      if (bucket_of(v.r) <= bucket_limit) {
+    for (const net_visitor& v : pending) {
+      if (!current(v)) {
+        ++metrics.visitors_skipped;
+      } else if (bucket_of(v.r) <= bucket_limit) {
         worklist.push(v);
       } else {
         deferred.push_back(v);
@@ -299,22 +336,17 @@ phase_metrics run_voronoi(rank_ctx& ctx,
     while (!worklist.empty()) {
       const net_visitor v = worklist.top();
       worklist.pop();
-      if (std::tuple{v.r, v.t, v.vp} >= state.tuple_of(v.vj)) {
-        ++metrics.previsit_rejections;
+      if (!current(v)) {
+        ++metrics.visitors_skipped;
         continue;
       }
-      state.distance[v.vj] = v.r;
-      state.src[v.vj] = v.t;
-      state.pred[v.vj] = v.vp;
       ++metrics.visitors_processed;
       const auto neighbors = ctx.graph.neighbors(v.vj);
       const auto weights = ctx.graph.weights(v.vj);
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
         const net_visitor cand{neighbors[i], v.vj, v.t, v.r + weights[i]};
-        if (std::tuple{cand.r, cand.t, cand.vp} >= state.tuple_of(cand.vj)) {
-          continue;  // already superseded — never admissible later
-        }
         if (ctx.owns(cand.vj)) {
+          if (!admit(cand)) continue;
           ++metrics.messages_local;
           if (bucket_of(cand.r) <= bucket_limit) {
             worklist.push(cand);
@@ -327,7 +359,15 @@ phase_metrics run_voronoi(rank_ctx& ctx,
               .push_back(cand);
         }
       }
+      if (budget != nullptr &&
+          metrics.visitors_processed % k_poll_settles == 0 &&
+          budget->stop_requested()) {
+        break;
+      }
     }
+    // Non-empty only after a budget break: park the rest so the vote sees
+    // outstanding work.
+    for (; !worklist.empty(); worklist.pop()) pending.push_back(worklist.top());
 
     ctx.scratch.compute_seconds = seconds_since(compute_t0);
     ctx.scratch.visitors = metrics.visitors_processed - visitors_before;
@@ -353,14 +393,14 @@ phase_metrics run_voronoi(rank_ctx& ctx,
     }
     ctx.scratch.send_flush_seconds = seconds_since(flush_t0);
 
-    // Park everything the peers sent this superstep into the backlog,
-    // dropping candidates the local state already beats.
+    // Admit what the peers sent this superstep into the backlog, dropping
+    // candidates the local state already beats.
     const auto recv_t0 = clock::now();
     for (int peer = 0; peer < ctx.world(); ++peer) {
       if (peer == ctx.rank()) continue;
       ctx.drain_until_marker(peer, [&](frame& f) {
         for (const net_visitor& v : decode_visitor_batch(f)) {
-          if (std::tuple{v.r, v.t, v.vp} < state.tuple_of(v.vj)) {
+          if (admit(v)) {
             pending.push_back(v);
           } else {
             ++metrics.previsit_rejections;
@@ -393,9 +433,11 @@ phase_metrics run_voronoi(rank_ctx& ctx,
 /// Boundary label sync between phases 1 and 2: each owned, reached vertex's
 /// (src, d1) goes to every other rank owning one of its neighbours — exactly
 /// the remote reads of the cross-edge scan. pred is deliberately not synced:
-/// walk-backs only ever dereference pred on the owner.
+/// walk-backs only ever dereference pred on the owner. A one-rank mesh owns
+/// every vertex and has no peer to tell, so it skips the arc walk entirely.
 void sync_ghosts(rank_ctx& ctx, core::steiner_state& state,
                  phase_metrics& metrics) {
+  if (ctx.world() == 1) return;
   const std::uint64_t sent_before = ctx.net.stats().bytes_sent;
   ctx.reset_scratch();
   const std::uint64_t ghosts_before = ctx.report.ghost_labels_sent;
@@ -724,7 +766,14 @@ phase_metrics gather_tree(rank_ctx& ctx,
 core::steiner_result solve_rank(const graph::csr_graph& graph,
                                 std::span<const graph::vertex_id> seeds,
                                 const core::solver_config& config,
-                                comm_backend& net, net_solve_report* report) {
+                                comm_backend& net, net_solve_report* report,
+                                core::solve_artifacts* capture,
+                                const core::solve_assists& assists,
+                                core::assist_stats* assist_out) {
+  if (net.world_size() > 1 && (capture != nullptr || !assists.empty())) {
+    throw std::invalid_argument(
+        "solve_rank: artifact capture and assists need a one-rank mesh");
+  }
   // Deterministic preprocessing — identical on every rank, so a rejected
   // seed list throws everywhere before any traffic flows.
   const std::vector<graph::vertex_id> seed_list =
@@ -733,6 +782,7 @@ core::steiner_result solve_rank(const graph::csr_graph& graph,
   core::steiner_result result;
   result.num_seeds = seed_list.size();
   rank_ctx ctx(graph, config, net);
+  core::assist_stats astats;
 
   if (seed_list.size() > 1) {
     core::steiner_state state(graph.num_vertices());
@@ -742,9 +792,37 @@ core::steiner_result solve_rank(const graph::csr_graph& graph,
       // distributed cold solves show up in /tracez and the slow-query log.
       core::detail::phase_span span(ctx.trace, phase_names::voronoi,
                                     config.costs);
+      // Fragments pre-seed the state and shrink the bootstrap to their
+      // improving surface; without them every owned seed bootstraps itself.
+      std::vector<net_visitor> initial;
+      if (!assists.fragments.empty()) {
+        for (const core::voronoi_visitor& v : core::inject_fragments(
+                 graph, assists.fragments, seed_list, state,
+                 &astats.preseeded_vertices)) {
+          initial.push_back(net_visitor{v.vj, v.vp, v.t, v.r});
+        }
+        for (const core::sssp_fragment_view& frag : assists.fragments) {
+          if (std::binary_search(seed_list.begin(), seed_list.end(),
+                                 frag.seed)) {
+            ++astats.fragments_injected;
+          }
+        }
+        astats.frontier_visitors = initial.size();
+      } else {
+        for (const graph::vertex_id s : seed_list) {
+          if (ctx.owns(s)) initial.push_back(net_visitor{s, s, s, 0});
+        }
+      }
       result.phases.phase(phase_names::voronoi) =
-          run_voronoi(ctx, seed_list, state, result.growth);
+          run_voronoi(ctx, initial, assists.prune_upper_bound, state,
+                      result.growth, astats.pruned_visitors);
       span.close(result.phases.phase(phase_names::voronoi));
+      if (ctx.trace != nullptr && !assists.empty()) {
+        ctx.trace->add_event("fragments_injected",
+                             static_cast<double>(astats.fragments_injected));
+        ctx.trace->add_event("oracle_pruned_visitors",
+                             static_cast<double>(astats.pruned_visitors));
+      }
     }
 
     auto& local_metrics = result.phases.phase(phase_names::local_min_edge);
@@ -770,6 +848,7 @@ core::steiner_result solve_rank(const graph::csr_graph& graph,
       span.close(result.phases.phase(phase_names::global_min_edge));
     }
     result.distance_graph_edges = global_en.size();
+    if (capture != nullptr) capture->global_en = global_en;  // G'1, pre-prune
 
     auto& mst_metrics = result.phases.phase(phase_names::mst);
     {
@@ -840,6 +919,11 @@ core::steiner_result solve_rank(const graph::csr_graph& graph,
                                  check.error);
       }
     }
+    if (capture != nullptr) {
+      capture->seeds = seed_list;
+      capture->state = std::move(state);
+      capture->graph_fingerprint = graph.fingerprint();
+    }
   } else {
     result.memory.graph_bytes = graph.memory_bytes();
   }
@@ -851,13 +935,15 @@ core::steiner_result solve_rank(const graph::csr_graph& graph,
         merge_cluster_samples(ctx.world(), std::move(ctx.cluster_rx));
   }
   if (report != nullptr) *report = std::move(ctx.report);
+  if (assist_out != nullptr) *assist_out = astats;
   return result;
 }
 
 core::steiner_result solve_loopback(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
     const core::solver_config& config, int world,
-    std::vector<net_solve_report>* reports) {
+    std::vector<net_solve_report>* reports, core::solve_artifacts* capture,
+    const core::solve_assists& assists, core::assist_stats* assist_out) {
   if (world <= 0) {
     throw std::invalid_argument("solve_loopback: world must be positive");
   }
@@ -870,7 +956,8 @@ core::steiner_result solve_loopback(
     try {
       results[static_cast<std::size_t>(rank)] =
           solve_rank(graph, seeds, config, mesh.endpoint(rank),
-                     &rank_reports[static_cast<std::size_t>(rank)]);
+                     &rank_reports[static_cast<std::size_t>(rank)], capture,
+                     assists, rank == 0 ? assist_out : nullptr);
     } catch (...) {
       errors[static_cast<std::size_t>(rank)] = std::current_exception();
       mesh.close_all();  // unblock peers so every rank unwinds

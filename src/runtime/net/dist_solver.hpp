@@ -74,19 +74,33 @@ struct net_solve_report {
 /// until the whole mesh converges; every rank returns the complete (identical)
 /// result. Throws util::operation_cancelled when the folded vote carries a
 /// cancel bit, and wire_error if the mesh dies mid-solve.
+///
+/// On a one-rank mesh the rank holds the whole state, which enables two
+/// inputs: `capture` receives the warm-start artifacts exactly as
+/// core::solve_steiner_tree_capture fills them, and `assists` pre-seeds
+/// phase 1 from shared fragments and drops candidates above the oracle's
+/// upper bounds (both output-neutral); `assist_out` reports what they
+/// absorbed. Passing `capture` or non-empty `assists` on a larger mesh
+/// throws std::invalid_argument.
 [[nodiscard]] core::steiner_result solve_rank(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
     const core::solver_config& config, comm_backend& net,
-    net_solve_report* report = nullptr);
+    net_solve_report* report = nullptr, core::solve_artifacts* capture = nullptr,
+    const core::solve_assists& assists = {},
+    core::assist_stats* assist_out = nullptr);
 
 /// Convenience harness: runs `world` ranks over an in-process loopback mesh
-/// (one thread per rank) and returns rank 0's result. `reports`, when
-/// non-null, receives all ranks' telemetry in rank order. This is the
-/// service's --distributed execution path and the reference side of the
-/// TCP bit-identity tests.
+/// (one thread per rank beyond rank 0, which runs on the calling thread) and
+/// returns rank 0's result. `reports`, when non-null, receives all ranks'
+/// telemetry in rank order. At world 1 this is the service's cold-solve
+/// kernel, where `capture`/`assists`/`assist_out` apply as in solve_rank; it
+/// is also the reference side of the TCP bit-identity tests.
 [[nodiscard]] core::steiner_result solve_loopback(
     const graph::csr_graph& graph, std::span<const graph::vertex_id> seeds,
     const core::solver_config& config, int world,
-    std::vector<net_solve_report>* reports = nullptr);
+    std::vector<net_solve_report>* reports = nullptr,
+    core::solve_artifacts* capture = nullptr,
+    const core::solve_assists& assists = {},
+    core::assist_stats* assist_out = nullptr);
 
 }  // namespace dsteiner::runtime::net

@@ -55,7 +55,6 @@ struct phase_metrics {
   // Bucketed (delta-stepping) growth only; both stay 0 in strict order, so
   // strict-mode metrics are unaffected.
   std::uint64_t buckets_processed = 0;   ///< distinct buckets drained
-  std::uint64_t bucket_pruned = 0;       ///< visitors dropped by the bucket prune
 
   [[nodiscard]] std::uint64_t messages_total() const noexcept {
     return messages_local + messages_remote;

@@ -12,8 +12,9 @@
 // communication/computation overlap of asynchronous MPI. A bulk-synchronous
 // mode (deliveries deferred to the round boundary) is provided for the
 // async-vs-BSP ablation. Real message passing between ranks lives in
-// runtime/net/ (net::solve_rank); this engine is the in-process simulator the
-// paper-figure benches and the service's default solves run on.
+// runtime/net/ (net::solve_rank, also the service's cold-solve kernel); this
+// engine is the in-process simulator the paper-figure benches, the reference
+// solver and the service's warm-start repairs run on.
 //
 // The simulated clock advances per round by the *maximum* per-rank work —
 // the critical path — so per-phase simulated times exhibit genuine strong-
@@ -116,26 +117,9 @@ class visitor_engine {
       round_light_ = round_heavy_ = 0;
       std::uint64_t round_bucket = k_no_bucket;
       if (bucketed_) {
-        // The round drains the globally lowest bucket. The prune decision
-        // additionally folds BSP-staged priorities so a staged lower-bucket
-        // visitor is never dropped by mistake.
+        // The round drains the globally lowest bucket.
         for (const auto& box : mailboxes_) {
           round_bucket = std::min(round_bucket, box.min_bucket());
-        }
-        std::uint64_t min_all = round_bucket;
-        for (const auto& [to, v] : staged_) {
-          min_all = std::min(min_all, v.priority() / config_.bucket_delta);
-        }
-        if (min_all != k_no_bucket &&
-            min_all * config_.bucket_delta > config_.priority_limit) {
-          // Every remaining visitor has priority >= min_all * delta, beyond
-          // the best landmark upper bound: nothing left can improve a cell,
-          // so drop it all and terminate.
-          metrics_.bucket_pruned += pending_ + staged_.size();
-          for (auto& box : mailboxes_) box.clear();
-          staged_.clear();
-          pending_ = 0;
-          break;
         }
         if (round_bucket != k_no_bucket && round_bucket != last_bucket_) {
           ++metrics_.buckets_processed;

@@ -9,7 +9,7 @@
 //   1. phase-1 pruning: for a query's seed set S, ub[v] = min_l (min_s d(l,s)
 //      + d(l,v)) upper-bounds v's final Voronoi distance, so a frontier
 //      visitor proposing a strictly larger distance is provably non-improving
-//      and can be dropped at admission (core::voronoi_prune) — output
+//      and can be dropped at admission (core::solve_assists) — output
 //      preserved, relaxation cascades cut;
 //   2. admission cost model: the mean lower-bound distance from each seed to
 //      its nearest co-seed ("seed spread") predicts how much graph a solve
@@ -86,8 +86,9 @@ class landmark_oracle {
   [[nodiscard]] bool needs_build(std::uint64_t current_fp) const;
 
   /// Per-vertex upper bounds on min_{s in seeds} d(s, v) for the epoch with
-  /// content fingerprint `fp` — the voronoi_prune input. Empty when the
-  /// upper side is unusable for that epoch. `seeds` must be canonical.
+  /// content fingerprint `fp` — the solve_assists::prune_upper_bound input.
+  /// Empty when the upper side is unusable for that epoch. `seeds` must be
+  /// canonical.
   [[nodiscard]] std::vector<graph::weight_t> prune_bounds(
       std::uint64_t fp, std::span<const graph::vertex_id> seeds) const;
 

@@ -372,10 +372,6 @@ std::string render_metrics_text(const service_snapshot& snap,
                  "Edge tiles emitted for high-degree vertices under bucketed "
                  "growth",
                  s.growth_tiles);
-  append_counter(out, prefix, "growth_bucket_pruned_total",
-                 "Visitors dropped when the landmark bound closed all "
-                 "remaining buckets",
-                 s.growth_bucket_pruned);
   append_gauge(out, prefix, "growth_last_bucket_delta",
                "Resolved delta-stepping bucket width of the most recent "
                "bucketed solve",

@@ -985,32 +985,22 @@ query_result steiner_service::execute(query q, double queue_wait,
       }
     }
     if (!warmed) {
-      if (config_.distributed.world >= 2) {
-        // Distributed cold path (runtime/net/): the solve runs as `world`
-        // loopback comm_backend ranks exchanging the same typed frames the
-        // TCP mesh carries, with hash-partitioned vertex state and two-phase
-        // termination votes. The tree is bit-identical to the in-process
-        // solver. No warm capture or fragment assists here — per-rank state
-        // is sharded, so there is no whole-graph artifact to keep.
-        artifacts.reset();
-        std::vector<runtime::net::net_solve_report> reports;
-        out.result = runtime::net::solve_loopback(*csr, canonical,
-                                                  solver_config,
-                                                  config_.distributed.world,
-                                                  &reports);
-        record_net_reports(reports, trace.get());
-        ++distributed_solves_;
-      } else {
-        // Shared-substrate assists: borrow the fragments of whichever seeds
-        // earlier solves settled on this epoch (pre-seeding phase 1 from
-        // their surface) and fetch landmark upper bounds to prune the rest.
-        // Both are output-neutral; a fragment-assisted solve still counts as
-        // cold.
-        core::solve_assists assists;
-        std::vector<core::sssp_fragment_view> frag_views;
-        std::vector<distshare::fragment_ptr> borrowed;
-        if (config_.enable_fragment_reuse && q.allow_warm_start &&
-            canonical.size() > 1) {
+      // Cold path: the runtime/net rank loop over a loopback mesh of
+      // `distributed.world` ranks; world 1 runs it on this thread. Only a
+      // one-rank mesh holds the whole state, so only it captures warm-start
+      // artifacts and takes the shared-substrate assists: fragments of
+      // whichever seeds earlier solves settled on this epoch pre-seed phase
+      // 1, and landmark upper bounds prune it. Both are output-neutral; an
+      // assisted solve still counts as cold. A larger mesh is the
+      // serving-path twin of the TCP launcher and reports its traffic.
+      const int world = std::max(1, config_.distributed.world);
+      if (world > 1) artifacts.reset();
+      core::solve_assists assists;
+      std::vector<core::sssp_fragment_view> frag_views;
+      std::vector<distshare::fragment_ptr> borrowed;
+      std::vector<graph::weight_t> prune_bound;
+      if (world == 1 && canonical.size() > 1) {
+        if (config_.enable_fragment_reuse && q.allow_warm_start) {
           for (const graph::vertex_id s : canonical) {
             if (distshare::fragment_ptr f =
                     fragments_.borrow(epoch->fingerprint(), s)) {
@@ -1023,8 +1013,7 @@ query_result steiner_service::execute(query q, double queue_wait,
           }
           assists.fragments = frag_views;
         }
-        std::vector<graph::weight_t> prune_bound;
-        if (config_.enable_oracle && canonical.size() > 1) {
+        if (config_.enable_oracle) {
           prune_bound = oracle_.prune_bounds(epoch->fingerprint(), canonical);
           assists.prune_upper_bound = prune_bound;
           if (prune_bound.empty()) kick_oracle_build(epoch);
@@ -1033,31 +1022,28 @@ query_result steiner_service::execute(query q, double queue_wait,
                              static_cast<double>(prune_bound.size()));
           }
         }
-        if (assists.empty()) {
-          out.result = artifacts != nullptr
-                           ? core::solve_steiner_tree_capture(
-                                 *csr, canonical, solver_config, *artifacts)
-                           : core::solve_steiner_tree(*csr, canonical,
-                                                      solver_config);
-        } else {
-          out.result = core::solve_steiner_tree_assisted(
-              *csr, canonical, assists, solver_config, artifacts.get(),
-              &out.assist);
-          if (out.assist.fragments_injected > 0) {
-            ++fragment_assisted_;
-            fragment_hits_ += out.assist.fragments_injected;
-            preseeded_vertices_ += out.assist.preseeded_vertices;
-          }
-          oracle_pruned_visitors_ += out.assist.pruned_visitors;
-        }
       }
+      std::vector<runtime::net::net_solve_report> reports;
+      out.result = runtime::net::solve_loopback(
+          *csr, canonical, solver_config, world,
+          world > 1 ? &reports : nullptr, artifacts.get(), assists,
+          &out.assist);
+      if (world > 1) {
+        record_net_reports(reports, trace.get());
+        ++distributed_solves_;
+      }
+      if (out.assist.fragments_injected > 0) {
+        ++fragment_assisted_;
+        fragment_hits_ += out.assist.fragments_injected;
+        preseeded_vertices_ += out.assist.preseeded_vertices;
+      }
+      oracle_pruned_visitors_ += out.assist.pruned_visitors;
       out.kind = solve_kind::cold;
       ++cold_solves_;
       if (out.result.growth.mode == runtime::growth_mode::bucketed) {
         ++bucketed_solves_;
         growth_buckets_processed_ += out.result.growth.buckets_processed;
         growth_tiles_ += out.result.growth.tiles_emitted;
-        growth_bucket_pruned_ += out.result.growth.bucket_pruned;
         growth_last_delta_.store(out.result.growth.delta,
                                  std::memory_order_relaxed);
         growth_last_tile_threshold_.store(out.result.growth.tile_threshold,
@@ -1177,7 +1163,6 @@ service_stats steiner_service::stats() const {
   s.bucketed_solves = bucketed_solves_.load();
   s.growth_buckets_processed = growth_buckets_processed_.load();
   s.growth_tiles = growth_tiles_.load();
-  s.growth_bucket_pruned = growth_bucket_pruned_.load();
   s.growth_last_delta = growth_last_delta_.load();
   s.growth_last_tile_threshold = growth_last_tile_threshold_.load();
   s.fragment_assisted = fragment_assisted_.load();

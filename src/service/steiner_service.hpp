@@ -140,15 +140,18 @@ struct service_config {
   /// tracking (obs/slo.hpp). Scored on every successful completion;
   /// violating queries are force-retained in the slow-query log.
   obs::slo_config slo{};
-  /// Distributed runtime (runtime/net/): world >= 2 routes every cold solve
-  /// through `net::solve_loopback` — one comm_backend rank per in-process
-  /// thread, exchanging the same typed frames the TCP backend puts on real
-  /// sockets. Output is bit-identical to the single-process solver (the
-  /// solver's fixed point is a unique lexicographic minimum), so this is the
-  /// serving-path twin of the `dsteiner-rank` multi-process launcher: same
-  /// wire codecs, same termination votes, same traffic counters, minus the
-  /// kernel. Warm starts and fragment capture are skipped in this mode
-  /// (artifacts live sharded across ranks); 1 = classic in-process solver.
+  /// Distributed runtime (runtime/net/): every cold solve runs the rank loop
+  /// (`net::solve_loopback`) over `world` loopback comm_backend ranks. World
+  /// 1 (the default) runs the single rank on the worker thread; it captures
+  /// warm-start artifacts and takes fragment/oracle assists. World >= 2 runs
+  /// one thread per extra rank, exchanging the same typed frames the TCP
+  /// backend puts on real sockets — the serving-path twin of the
+  /// `dsteiner-rank` multi-process launcher: same wire codecs, same
+  /// termination votes, same traffic counters, minus the kernel. Its state
+  /// is sharded across ranks, so it skips artifact capture and assists. The
+  /// output is bit-identical to core::solve_steiner_tree at every world
+  /// size (the fixed point is a unique lexicographic minimum). Warm starts
+  /// still repair on the cooperative engine.
   struct distributed_config {
     int world = 1;
   };
@@ -183,7 +186,6 @@ struct service_stats {
   std::uint64_t bucketed_solves = 0;  ///< cold solves run with bucketed phase 1
   std::uint64_t growth_buckets_processed = 0;  ///< delta-stepping buckets drained
   std::uint64_t growth_tiles = 0;              ///< edge tiles emitted for hubs
-  std::uint64_t growth_bucket_pruned = 0;  ///< visitors dropped by bucket pruning
   std::uint64_t growth_last_delta = 0;  ///< resolved bucket width, last solve
   std::uint64_t growth_last_tile_threshold = 0;  ///< resolved tile width, last
 
@@ -596,7 +598,6 @@ class steiner_service {
   std::atomic<std::uint64_t> bucketed_solves_{0};
   std::atomic<std::uint64_t> growth_buckets_processed_{0};
   std::atomic<std::uint64_t> growth_tiles_{0};
-  std::atomic<std::uint64_t> growth_bucket_pruned_{0};
   std::atomic<std::uint64_t> growth_last_delta_{0};
   std::atomic<std::uint64_t> growth_last_tile_threshold_{0};
   std::atomic<std::uint64_t> fragment_assisted_{0};

@@ -1,6 +1,6 @@
 // Shared distance substrate tests (service/distshare/): fragment store
 // lifecycle, landmark oracle bound validity, bit-identical fragment-seeded /
-// oracle-pruned solves (sequential + threaded), and concurrent borrow stress.
+// oracle-pruned solves on the rank loop, and concurrent borrow stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "core/warm_start.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
+#include "runtime/net/dist_solver.hpp"
 #include "service/distshare/landmark_oracle.hpp"
 #include "service/distshare/sssp_fragment_store.hpp"
 #include "service/steiner_service.hpp"
@@ -269,12 +270,15 @@ TEST(LandmarkOracle, EdgeDeltaDegradesTheRightBoundSide) {
 class AssistedSolve : public ::testing::TestWithParam<runtime::execution_mode> {
 };
 
+// The assisted side runs the service's cold kernel (the rank loop at world
+// 1); the reference is the cooperative solver under each delivery mode.
 TEST_P(AssistedSolve, FragmentSeededAndPrunedMatchesCold) {
   util::rng gen(31);
   core::solver_config config;
   config.num_ranks = 8;
   config.mode = GetParam();
   config.validate = true;
+  core::assist_stats totals;
 
   for (int round = 0; round < 6; ++round) {
     const auto g = make_connected_graph(160 + 30 * round, 14, 100 + round);
@@ -313,16 +317,44 @@ TEST_P(AssistedSolve, FragmentSeededAndPrunedMatchesCold) {
     assists.fragments = views;
     assists.prune_upper_bound = bounds;
     core::assist_stats astats;
-    const auto assisted =
-        core::solve_steiner_tree_assisted(g, seeds, assists, config,
-                                          /*capture=*/nullptr, &astats);
-    const auto cold = core::solve_steiner_tree(g, seeds, config);
+    core::solve_artifacts capture;
+    const auto assisted = runtime::net::solve_loopback(
+        g, seeds, config, 1, nullptr, &capture, assists, &astats);
+    core::solve_artifacts cold_capture;
+    const auto cold =
+        core::solve_steiner_tree_capture(g, seeds, config, cold_capture);
     expect_same_tree(assisted, cold);
+    // Pre-seeding and pruning leave the converged labelling untouched too.
+    EXPECT_EQ(capture.state.distance, cold_capture.state.distance);
+    EXPECT_EQ(capture.state.src, cold_capture.state.src);
+    EXPECT_EQ(capture.state.pred, cold_capture.state.pred);
     if (!views.empty()) {
       EXPECT_EQ(astats.fragments_injected, views.size());
       EXPECT_GT(astats.preseeded_vertices, 0u);
     }
+    totals.fragments_injected += astats.fragments_injected;
+    totals.preseeded_vertices += astats.preseeded_vertices;
+    totals.pruned_visitors += astats.pruned_visitors;
   }
+  // The assists did real work somewhere across the rounds.
+  EXPECT_GT(totals.fragments_injected, 0u);
+  EXPECT_GT(totals.preseeded_vertices, 0u);
+  EXPECT_GT(totals.pruned_visitors, 0u);
+}
+
+TEST(AssistedSolve, CaptureOrAssistsOnALargerMeshThrow) {
+  const auto g = make_connected_graph(120, 10, 5);
+  const std::vector<vertex_id> seeds{3, 50, 90};
+  const std::vector<weight_t> bound(g.num_vertices(), graph::k_inf_distance);
+  core::solve_assists assists;
+  assists.prune_upper_bound = bound;
+  core::solve_artifacts capture;
+  EXPECT_THROW((void)runtime::net::solve_loopback(g, seeds, {}, 2, nullptr,
+                                                  &capture),
+               std::invalid_argument);
+  EXPECT_THROW((void)runtime::net::solve_loopback(g, seeds, {}, 2, nullptr,
+                                                  nullptr, assists),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, AssistedSolve,

@@ -18,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/k_shortest_paths.hpp"
+#include "runtime/net/dist_solver.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -158,7 +159,7 @@ TEST(BucketedGrowth, EdgeTilingOnHubMatchesStrict) {
   EXPECT_EQ(result.growth.tile_threshold, 32u);
 }
 
-TEST(BucketedGrowth, OracleBucketPruneKeepsTreeIdentical) {
+TEST(BucketedGrowth, OraclePruneKeepsTreeIdentical) {
   const auto g = make_connected_graph(300, 1000, 0xFACE);
   const auto seeds = pick_seeds(g, 8, 4);
   core::solver_config strict;
@@ -166,7 +167,7 @@ TEST(BucketedGrowth, OracleBucketPruneKeepsTreeIdentical) {
   const auto reference = core::solve_steiner_tree(g, seeds, strict);
 
   // Exact per-vertex min_s d(s, v): the tightest valid upper bound, so the
-  // bucket prune closes the run as early as it ever legally can.
+  // rank loop's admission drops every candidate it ever legally can.
   std::vector<weight_t> bound(g.num_vertices(), graph::k_inf_distance);
   for (const vertex_id s : seeds) {
     const auto sp = graph::dijkstra(g, s);
@@ -179,9 +180,14 @@ TEST(BucketedGrowth, OracleBucketPruneKeepsTreeIdentical) {
 
   core::solver_config relaxed = strict;
   relaxed.growth = runtime::growth_mode::bucketed;
-  const auto result =
-      core::solve_steiner_tree_assisted(g, seeds, assists, relaxed);
+  core::assist_stats stats;
+  const auto result = runtime::net::solve_loopback(g, seeds, relaxed, 1,
+                                                   nullptr, nullptr, assists,
+                                                   &stats);
   expect_same_tree(result, reference);
+  EXPECT_EQ(result.growth.mode, runtime::growth_mode::bucketed);
+  EXPECT_GT(result.growth.buckets_processed, 0u);
+  EXPECT_GT(stats.pruned_visitors, 0u);
 }
 
 // ---- Binary graph IO.

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <tuple>
@@ -370,6 +371,31 @@ TEST(NetDistSolve, CancelledBudgetUnwindsAllRanks) {
   config.budget = &budget;
   EXPECT_THROW((void)solve_loopback(g, seeds, config, 3),
                util::operation_cancelled);
+
+  // World 1: phase 1 is a single superstep, so only the drain's own budget
+  // poll (every 1024 settles) can stop it before the vote. A deadline that
+  // trips mid-drain must end that superstep early: the probe row the vote
+  // records before unwinding shows fewer settles than a full drain.
+  const graph::csr_graph big = make_connected_graph(60000, 30, 10);
+  const auto big_seeds = pick_seeds(big, 12, 2);
+  const core::steiner_result full = solve_loopback(big, big_seeds, {}, 1);
+  const std::uint64_t settles =
+      full.phases.find(runtime::phase_names::voronoi)->visitors_processed;
+  obs::query_trace trace(obs::trace_config{});
+  util::run_budget deadline;
+  deadline.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+  config.budget = &deadline;
+  config.trace = &trace;
+  try {
+    (void)solve_loopback(big, big_seeds, config, 1);
+    FAIL() << "solve outlived its deadline";
+  } catch (const util::operation_cancelled& stopped) {
+    EXPECT_EQ(stopped.why(), util::cancel_reason::deadline);
+  }
+  const auto samples = trace.probe().samples();
+  ASSERT_EQ(samples.size(), 1u);  // the voronoi superstep's vote, then unwind
+  EXPECT_LT(samples.front().visitors, settles);
 }
 
 TEST(NetDistSolve, ReportsModelledAndMeasuredTraffic) {

@@ -17,6 +17,7 @@
 #include "service/metrics_text.hpp"
 #include "service/result_cache.hpp"
 #include "service/steiner_service.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -375,6 +376,49 @@ TEST(Service, DistributedColdSolveBitIdenticalToInProcess) {
             std::string::npos);
   EXPECT_NE(text.find("dsteiner_comm_bytes_modelled_bucket"),
             std::string::npos);
+}
+
+TEST(Service, RankLoopColdTreeMatchesCooperativeWithZeroWeightsAndTies) {
+  // Weights in [0, 3] give zero-weight arcs and many equal-distance ties,
+  // where only the (src, pred) tie-break decides the labels. A seed reached
+  // from a lower seed at distance 0 joins that seed's cell, leaving its own
+  // cell empty, so the solves may return forests. Warm starts are off so
+  // every query is a world-1 cold solve, fragment-assisted once earlier
+  // solves have published fragments.
+  for (std::uint64_t round = 0; round < 5; ++round) {
+    const auto n = static_cast<vertex_id>(150 + 40 * round);
+    graph::edge_list list =
+        graph::generate_erdos_renyi(n, std::uint64_t{n} * 3, 500 + round);
+    graph::assign_uniform_weights(list, 1, 4, 600 + round);
+    for (graph::weighted_edge& e : list.edges()) --e.weight;  // [0, 3]
+    graph::connect_components(list, 1, 700 + round);
+    const graph::csr_graph g(list);
+    auto config = quiet_config(1);
+    config.enable_warm_start = false;
+    config.enable_cache = false;
+    config.solver.allow_disconnected_seeds = true;
+    steiner_service svc(graph::csr_graph(g), config);
+    util::rng gen(round);
+    std::vector<vertex_id> previous;
+    for (const std::size_t k : {2, 5, 12, 5, 12}) {
+      // Keep half of the previous set so its published fragments apply.
+      query q;
+      q.seeds.assign(previous.begin(),
+                     previous.begin() + static_cast<std::ptrdiff_t>(
+                                            previous.size() / 2));
+      for (const std::uint64_t v : util::sample_without_replacement(n, k, gen)) {
+        q.seeds.push_back(static_cast<vertex_id>(v));
+      }
+      previous = q.seeds;
+      const auto out = svc.solve(q);
+      ASSERT_EQ(out.kind, solve_kind::cold);
+      const auto ref = core::solve_steiner_tree(g, q.seeds, config.solver);
+      EXPECT_EQ(out.result.tree_edges, ref.tree_edges);
+      EXPECT_EQ(out.result.total_distance, ref.total_distance);
+      EXPECT_EQ(out.result.spans_all_seeds, ref.spans_all_seeds);
+    }
+    EXPECT_GT(svc.stats().fragment_assisted, 0u);
+  }
 }
 
 TEST(Service, ConfigOverrideGetsItsOwnCacheEntry) {

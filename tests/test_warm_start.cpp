@@ -10,6 +10,7 @@
 #include "core/validation.hpp"
 #include "core/warm_start.hpp"
 #include "graph/generators.hpp"
+#include "runtime/net/dist_solver.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -66,6 +67,47 @@ TEST(WarmStart, CaptureMatchesPlainSolve) {
   EXPECT_EQ(artifacts.state.distance.size(), g.num_vertices());
   EXPECT_EQ(artifacts.global_en.size(), captured.distance_graph_edges);
   EXPECT_GT(artifacts.memory_bytes(), 0u);
+}
+
+TEST(WarmStart, RankLoopCaptureMatchesCooperativeCapture) {
+  // The service captures its donors on the rank loop at world 1; the
+  // artifacts must equal the cooperative engine's field for field.
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    const auto g = make_connected_graph(140 + 30 * static_cast<int>(round),
+                                        20, 40 + round);
+    util::rng gen(round);
+    const auto picks = util::sample_without_replacement(
+        g.num_vertices(), 3 + 2 * round, gen);
+    const std::vector<vertex_id> seeds(picks.begin(), picks.end());
+    solve_artifacts coop;
+    const auto expected = solve_steiner_tree_capture(g, seeds, {}, coop);
+    solve_artifacts loop;
+    const auto got =
+        runtime::net::solve_loopback(g, seeds, {}, 1, nullptr, &loop);
+    expect_same_tree(got, expected);
+    EXPECT_EQ(loop.seeds, coop.seeds);
+    EXPECT_EQ(loop.state.distance, coop.state.distance);
+    EXPECT_EQ(loop.state.src, coop.state.src);
+    EXPECT_EQ(loop.state.pred, coop.state.pred);
+    EXPECT_EQ(loop.global_en, coop.global_en);
+    EXPECT_EQ(loop.graph_fingerprint, coop.graph_fingerprint);
+  }
+}
+
+TEST(WarmStart, RankLoopDonorWarmStartEqualsCold) {
+  const auto g = make_connected_graph(200, 30, 8);
+  solver_config config;
+  config.validate = true;
+  solve_artifacts donor;
+  (void)runtime::net::solve_loopback(
+      g, std::vector<vertex_id>{5, 50, 100, 150}, config, 1, nullptr, &donor);
+  const std::vector<vertex_id> next{5, 42, 100, 150, 188};
+  warm_start_stats stats;
+  const auto warm =
+      solve_steiner_tree_warm(g, next, donor, config, nullptr, &stats);
+  expect_same_tree(warm, solve_steiner_tree(g, next, config));
+  EXPECT_EQ(stats.added_seeds, 2u);
+  EXPECT_EQ(stats.removed_seeds, 1u);
 }
 
 TEST(WarmStart, AddSeedEqualsCold) {
