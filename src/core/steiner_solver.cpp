@@ -14,7 +14,6 @@
 #include "core/validation.hpp"
 #include "core/voronoi.hpp"
 #include "core/warm_start.hpp"
-#include "graph/delta_stepping.hpp"
 #include "runtime/comm.hpp"
 #include "util/timer.hpp"
 
@@ -161,38 +160,13 @@ steiner_result solve_cold(const graph::csr_graph& graph,
   const runtime::communicator comm(config.num_ranks, config.costs);
   comm.reset_peak_buffer();
 
-  // Phase-1 scheduling: bucketed growth runs phase 1 (and only phase 1) as
-  // bucketed delta-stepping with the knobs resolved here; 0-valued knobs get
-  // graph-derived defaults.
-  runtime::engine_config phase1 = engine;
-  if (config.growth == runtime::growth_mode::bucketed) {
-    phase1.growth = runtime::growth_mode::bucketed;
-    phase1.bucket_delta = config.bucket_delta != 0
-                              ? config.bucket_delta
-                              : graph::heuristic_delta(graph);
-    const std::uint64_t avg_degree =
-        graph.num_vertices() == 0 ? 0 : graph.num_arcs() / graph.num_vertices();
-    phase1.tile_threshold =
-        config.tile_threshold != 0
-            ? config.tile_threshold
-            : std::max<std::uint64_t>(64, 4 * avg_degree);
-    result.growth.mode = runtime::growth_mode::bucketed;
-    result.growth.delta = phase1.bucket_delta;
-    result.growth.tile_threshold = phase1.tile_threshold;
-  }
-
   // Step 1: Voronoi cells (Alg. 3 line 12).
   steiner_state state(graph.num_vertices());
   result.memory.state_bytes = state.memory_bytes() + graph.num_vertices() / 8;
   {
     phase_span span(config.trace, runtime::phase_names::voronoi, config.costs);
-    std::uint64_t tiles = 0;
-    const runtime::phase_metrics metrics = compute_voronoi_cells(
-        dgraph, seed_list, state, phase1, voronoi_tiling{&tiles});
-    if (config.growth == runtime::growth_mode::bucketed) {
-      result.growth.buckets_processed = metrics.buckets_processed;
-      result.growth.tiles_emitted = tiles;
-    }
+    const runtime::phase_metrics metrics =
+        compute_voronoi_cells(dgraph, seed_list, state, engine);
     result.phases.phase(runtime::phase_names::voronoi) = metrics;
     span.close(metrics);
   }
@@ -238,8 +212,7 @@ steiner_result solve_steiner_tree(const graph::csr_graph& graph,
 
 obs::query_features extract_query_features(graph::vertex_id num_vertices,
                                            std::uint64_t num_arcs,
-                                           std::size_t seed_count,
-                                           const solver_config& config) {
+                                           std::size_t seed_count) {
   using qf = obs::query_features;
   obs::query_features f;
   const double seeds = static_cast<double>(seed_count);
@@ -251,8 +224,6 @@ obs::query_features extract_query_features(graph::vertex_id num_vertices,
   f.x[qf::k_log_arcs] = log_m;
   f.x[qf::k_seeds_log_n] = seeds * log_n;
   f.x[qf::k_seeds_sq] = seeds * seeds;
-  f.x[qf::k_bucketed] =
-      config.growth == runtime::growth_mode::bucketed ? 1.0 : 0.0;
   return f;
 }
 

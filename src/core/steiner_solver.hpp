@@ -49,19 +49,6 @@ struct solver_config {
   std::size_t batch_size = 64;
   runtime::cost_model costs{};
 
-  /// Phase-1 scheduling: strict priority order (default; deterministic
-  /// metrics) or delta-stepping buckets
-  /// (faster cold solves, same output tree, schedule-dependent metrics).
-  /// Only phase 1 is ever bucketed; all other phases stay strict.
-  runtime::growth_mode growth = runtime::growth_mode::strict_order;
-  /// Bucket width for bucketed growth; 0 resolves to graph::heuristic_delta
-  /// (average arc weight) at solve time.
-  std::uint64_t bucket_delta = 0;
-  /// Degree threshold above which bucketed growth splits a non-delegate
-  /// vertex's scatter into edge tiles of this width; 0 resolves to
-  /// max(64, 4 * average degree) at solve time.
-  std::uint64_t tile_threshold = 0;
-
   /// Distance-graph reduction: sparse map merge (default) or the paper's
   /// dense (|S| choose 2) buffer; either path optionally chunked (§V-F).
   bool dense_distance_graph = false;
@@ -102,16 +89,6 @@ struct solver_config {
   obs::query_trace* trace = nullptr;
 };
 
-/// How phase 1 actually ran: the resolved growth knobs and the bucket/tile
-/// work they produced. All zeros under strict order.
-struct growth_stats {
-  runtime::growth_mode mode = runtime::growth_mode::strict_order;
-  std::uint64_t delta = 0;            ///< resolved bucket width
-  std::uint64_t tile_threshold = 0;   ///< resolved tile width
-  std::uint64_t buckets_processed = 0;
-  std::uint64_t tiles_emitted = 0;
-};
-
 struct steiner_result {
   std::vector<graph::weighted_edge> tree_edges;  ///< GS, canonical u < v per edge
   graph::weight_t total_distance = 0;            ///< D(GS)
@@ -123,7 +100,6 @@ struct steiner_result {
 
   std::size_t distance_graph_edges = 0;  ///< |E'1|
   std::uint64_t delegate_count = 0;      ///< high-degree vertices split across ranks
-  growth_stats growth;                   ///< phase-1 scheduling telemetry
 
   [[nodiscard]] double wall_seconds() const { return phases.total().wall_seconds; }
   [[nodiscard]] std::uint64_t total_messages() const {
@@ -173,13 +149,12 @@ struct assist_stats {
 
 /// Admission-time feature extraction for the learned admission cost model
 /// (obs::cost_model): fills the analytic features knowable before a solve
-/// runs — |S|, graph scale, their interaction terms, and the phase-1
-/// growth mode.
-/// O(1), no CSR access (callers pass epoch header counts, never materialize
-/// an overlay for this). Service-side features (seed spread, overlay
-/// fraction, warm/fragment state) are filled in by the caller.
+/// runs — |S|, graph scale and their interaction terms. O(1), no CSR access
+/// (callers pass epoch header counts, never materialize an overlay for
+/// this). Service-side features (seed spread, overlay fraction,
+/// warm/fragment state) are filled in by the caller.
 [[nodiscard]] obs::query_features extract_query_features(
     graph::vertex_id num_vertices, std::uint64_t num_arcs,
-    std::size_t seed_count, const solver_config& config);
+    std::size_t seed_count);
 
 }  // namespace dsteiner::core

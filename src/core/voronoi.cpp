@@ -14,16 +14,8 @@ namespace {
 /// neighbour scatter (lines 10-13) unless a better update superseded it.
 class voronoi_handler {
  public:
-  /// `tile_width` > 0 (bucketed growth with tiling) splits non-delegate
-  /// vertices of degree > tile_width into ceil(degree / tile_width) edge
-  /// tiles spread round-robin over ranks.
-  voronoi_handler(const runtime::dist_graph& dgraph, steiner_state& state,
-                  std::uint64_t tile_width = 0,
-                  const voronoi_tiling& tiling = {})
-      : dgraph_(&dgraph),
-        state_(&state),
-        tile_width_(tile_width),
-        tiles_(tiling.tiles) {}
+  voronoi_handler(const runtime::dist_graph& dgraph, steiner_state& state)
+      : dgraph_(&dgraph), state_(&state) {}
 
   // Arrival-time admission check only: a visitor that cannot improve the
   // target's *current* state is dropped. The relaxation itself happens at
@@ -31,9 +23,9 @@ class voronoi_handler {
   // exhibits the label-correcting cascades the paper measures in Fig. 6 and
   // the priority queue approximates Dijkstra's settling order.
   bool pre_visit(const voronoi_visitor& v, int rank) {
-    // Relays and tiles carry their own label, run on arbitrary ranks and
-    // never touch vertex state — admit unconditionally.
-    if (v.kind != voronoi_visitor::kind_t::normal) return true;
+    // Relays carry their own label, run on arbitrary ranks and never touch
+    // vertex state — admit unconditionally.
+    if (v.kind == voronoi_visitor::kind_t::relay) return true;
     assert(dgraph_->owner(v.vj) == rank);
     (void)rank;
     return std::tuple{v.r, v.t, v.vp} < state_->tuple_of(v.vj);
@@ -45,20 +37,6 @@ class voronoi_handler {
       // Enumerate this rank's slice of the delegate's adjacency and scatter.
       dgraph_->for_each_arc_in_slice(
           v.vj, rank, [&](graph::vertex_id vi, graph::weight_t w) {
-            out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
-          });
-      return true;
-    }
-    if (v.kind == voronoi_visitor::kind_t::tile) {
-      // One contiguous arc range of a hub's scatter. Like a relay the tile
-      // scatters the label it carries; if the hub was relabelled since, the
-      // improving update emitted fresh tiles and these emissions lose at
-      // admission — no state read, so tiles are safe on any rank.
-      const std::uint64_t begin =
-          static_cast<std::uint64_t>(v.tile) * tile_width_;
-      dgraph_->for_each_arc_in_range(
-          v.vj, begin, begin + tile_width_,
-          [&](graph::vertex_id vi, graph::weight_t w) {
             out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
           });
       return true;
@@ -78,22 +56,6 @@ class voronoi_handler {
       }
       return true;
     }
-    const std::uint64_t degree = dgraph_->graph().degree(v.vj);
-    if (tile_width_ != 0 && degree > tile_width_) {
-      // Edge tiling (katana deltaTile): split the hub's scatter into
-      // independent arc-range work items spread round-robin over ranks so
-      // one hub cannot serialize a bucket on its owner.
-      const auto p = static_cast<std::uint64_t>(dgraph_->num_ranks());
-      const std::uint64_t ntiles = (degree + tile_width_ - 1) / tile_width_;
-      for (std::uint64_t i = 0; i < ntiles; ++i) {
-        voronoi_visitor tv{v.vj, v.vp, v.t, v.r,
-                           voronoi_visitor::kind_t::tile};
-        tv.tile = static_cast<std::uint32_t>(i);
-        out.to_rank(static_cast<int>(i % p), tv);
-      }
-      if (tiles_ != nullptr) *tiles_ += ntiles;
-      return true;
-    }
     dgraph_->for_each_arc(v.vj, [&](graph::vertex_id vi, graph::weight_t w) {
       out.to_vertex(voronoi_visitor{vi, v.vj, v.t, v.r + w});
     });
@@ -103,28 +65,19 @@ class voronoi_handler {
  private:
   const runtime::dist_graph* dgraph_;
   steiner_state* state_;
-  std::uint64_t tile_width_ = 0;  ///< 0 = tiling off
-  std::uint64_t* tiles_ = nullptr;
 };
 
 }  // namespace
 
 runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_tiling& tiling) {
+    steiner_state& state, const runtime::engine_config& config) {
   std::vector<voronoi_visitor> initial;
   initial.reserve(seeds.size());
   for (const graph::vertex_id s : seeds) {
     initial.push_back(voronoi_visitor{s, s, s, 0});
   }
-  // Tiling is meaningful only under bucketed growth: in strict order the
-  // priority queue already interleaves hubs' scatters and extra tile
-  // messages would change the bit-identical schedule.
-  const std::uint64_t tile_width =
-      config.growth == runtime::growth_mode::bucketed ? config.tile_threshold
-                                                      : 0;
-  voronoi_handler handler(dgraph, state, tile_width, tiling);
+  voronoi_handler handler(dgraph, state);
   return runtime::run_visitors(dgraph.parts(), handler, std::move(initial),
                                config);
 }

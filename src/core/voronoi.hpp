@@ -24,40 +24,25 @@
 namespace dsteiner::core {
 
 /// The VORONOI_CELL_VISITOR of Alg. 4 (lines 14-18), extended with a relay
-/// kind for delegate scatter and a tile kind for bucketed edge tiling.
+/// kind for delegate scatter.
 struct voronoi_visitor {
   graph::vertex_id vj = 0;  ///< vertex being visited
   graph::vertex_id vp = 0;  ///< vertex that sent the visitor (pred candidate)
   graph::vertex_id t = 0;   ///< seed owning vp's cell
   graph::weight_t r = 0;    ///< proposed distance d1(t, vj)
 
-  /// tile: one contiguous arc-range of a high-degree vertex's scatter
-  /// (bucketed growth only; katana's deltaTile). Like a relay it carries its
-  /// label and never touches vertex state — it may run on any rank, and a
-  /// stale tile's emissions are dominated at admission.
-  enum class kind_t : std::uint8_t { normal, relay, tile };
+  enum class kind_t : std::uint8_t { normal, relay };
   kind_t kind = kind_t::normal;
-  std::uint32_t tile = 0;  ///< tile index (arc range [tile*T, (tile+1)*T))
 
   [[nodiscard]] graph::vertex_id target() const noexcept { return vj; }
   [[nodiscard]] std::uint64_t priority() const noexcept { return r; }
 };
 
-/// Edge-tiling telemetry for bucketed growth (the tiling itself is switched
-/// by engine_config::growth + tile_threshold; the tile width is the
-/// threshold).
-struct voronoi_tiling {
-  std::uint64_t* tiles = nullptr;  ///< optional emitted-tile counter
-};
-
 /// Runs Alg. 4 to quiescence, filling `state`. Seeds bootstrap themselves:
-/// each s in S receives (r=0, t=s, vp=s). Under bucketed growth with a
-/// non-zero config.tile_threshold, hub scatters split into edge tiles,
-/// counted into `tiling`.
+/// each s in S receives (r=0, t=s, vp=s).
 [[nodiscard]] runtime::phase_metrics compute_voronoi_cells(
     const runtime::dist_graph& dgraph, std::span<const graph::vertex_id> seeds,
-    steiner_state& state, const runtime::engine_config& config,
-    const voronoi_tiling& tiling = {});
+    steiner_state& state, const runtime::engine_config& config);
 
 /// Warm-start repair: re-runs Alg. 4 to quiescence from caller-chosen initial
 /// visitors over an existing (partially valid) `state`. Used after a seed-set

@@ -16,7 +16,6 @@ const char* query_features::name(std::size_t i) noexcept {
     case k_overlay: return "overlay_fraction";
     case k_warm: return "warm_start";
     case k_fragments: return "fragment_fraction";
-    case k_bucketed: return "bucketed_growth";
     default: return "unknown";
   }
 }

@@ -7,7 +7,7 @@
 // admission — Saikia & Karmakar's round-complexity bounds say terminal
 // count, a diameter proxy and the round structure decide the work, and the
 // serving layer adds its own (warm repair vs cold, fragment pre-seeding,
-// phase-1 growth mode, epoch overlay size). This model regresses
+// epoch overlay size). This model regresses
 // observed solve time onto exactly those features, online:
 //
 //   * every completed real solve (cold or warm) calls observe(features, y);
@@ -18,7 +18,7 @@
 //     drift (graph mutations, cache temperature, hardware contention)
 //     instead of averaging over a stale past.
 //
-// The RLS update is O(d^2) on a d=11 feature vector behind one mutex —
+// The RLS update is O(d^2) on a d=10 feature vector behind one mutex —
 // nanoseconds against a solve, and admission-rate cheap. Observability is
 // first-class: snapshot() exposes the coefficient vector, sample count and
 // a residual EMA for /statusz and the Prometheus exposition, so the
@@ -35,7 +35,7 @@ namespace dsteiner::obs {
 /// The admission feature vector. Indices are named so the service, the core
 /// extractor and /statusz agree on what each coefficient means.
 struct query_features {
-  static constexpr std::size_t k_dim = 11;
+  static constexpr std::size_t k_dim = 10;
 
   enum index : std::size_t {
     k_bias = 0,         ///< always 1
@@ -48,7 +48,6 @@ struct query_features {
     k_overlay = 7,      ///< epoch overlay fraction (overlay arcs / m)
     k_warm = 8,         ///< 1 when the solve is a warm-start repair
     k_fragments = 9,    ///< fraction of seeds with a borrowable fragment
-    k_bucketed = 10,    ///< 1 when phase 1 runs bucketed (relaxed) growth
   };
 
   std::array<double, k_dim> x{};

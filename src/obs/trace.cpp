@@ -130,8 +130,7 @@ void query_trace::set_cluster_summary(std::uint32_t world,
 void query_trace::finalize(std::uint64_t request_id, std::uint64_t query_id,
                            double queue_wait_seconds, double solve_seconds,
                            double total_seconds,
-                           double admission_estimate_seconds,
-                           double modelled_seconds) noexcept {
+                           double admission_estimate_seconds) noexcept {
   summary_.request_id = request_id;
   summary_.query_id = query_id;
   summary_.queue_wait_seconds = queue_wait_seconds;
@@ -142,9 +141,6 @@ void query_trace::finalize(std::uint64_t request_id, std::uint64_t query_id,
       admission_estimate_seconds > 0.0
           ? total_seconds - admission_estimate_seconds
           : 0.0;
-  summary_.modelled_seconds = modelled_seconds;
-  summary_.model_error_seconds =
-      modelled_seconds > 0.0 ? solve_seconds - modelled_seconds : 0.0;
   // Phase spans carry the per-phase engine totals; fold them up so the
   // summary answers "how many supersteps/messages did this query cost"
   // without walking the span list.
@@ -202,19 +198,9 @@ std::string query_trace::to_chrome_json() const {
     const double barrier = s.barrier_wait_seconds;
     const double compute = s.compute_seconds;
     char args[256];
-    if (s.bucket != UINT64_MAX) {
-      // Bucketed growth: expose the bucket index and the light/heavy
-      // relaxation split so delta tuning is visible in Perfetto.
-      std::snprintf(args, sizeof(args),
-                    "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u,"
-                    "\"bucket\":%" PRIu64 ",\"light\":%u,\"heavy\":%u}",
-                    s.superstep, s.visitors, s.sent, s.bucket, s.light,
-                    s.heavy);
-    } else {
-      std::snprintf(args, sizeof(args),
-                    "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u}",
-                    s.superstep, s.visitors, s.sent);
-    }
+    std::snprintf(args, sizeof(args),
+                  "{\"superstep\":%u,\"visitors\":%u,\"sent\":%u}",
+                  s.superstep, s.visitors, s.sent);
     // The sample is stamped at superstep end: compute ran first, then the
     // barrier wait. Lay the slices back-to-back ending at the stamp.
     append_complete(out, s.phase, "superstep", end - barrier - compute,

@@ -112,9 +112,6 @@ struct trace_summary {
   std::uint64_t supersteps = 0;   ///< engine supersteps/rounds, all phases
   std::uint64_t visitors = 0;     ///< visitor dispatches, all phases
   std::uint64_t messages = 0;     ///< messages sent, all phases
-  double modelled_seconds = 0.0;  ///< perf_model simulated time for the solve
-  /// solve_seconds - modelled_seconds (signed model residual).
-  double model_error_seconds = 0.0;
   std::size_t spans = 0;
   std::size_t samples = 0;
   std::uint64_t dropped = 0;  ///< spans + events + samples lost to capacity
@@ -176,8 +173,8 @@ class query_trace {
   /// Freezes the summary. Call exactly once, after all writers are done.
   void finalize(std::uint64_t request_id, std::uint64_t query_id,
                 double queue_wait_seconds, double solve_seconds,
-                double total_seconds, double admission_estimate_seconds,
-                double modelled_seconds) noexcept;
+                double total_seconds,
+                double admission_estimate_seconds) noexcept;
 
   [[nodiscard]] const trace_summary& summary() const noexcept {
     return summary_;

@@ -18,7 +18,6 @@
 #include "core/validation.hpp"
 #include "core/voronoi.hpp"
 #include "core/warm_start.hpp"
-#include "graph/delta_stepping.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/net/loopback_backend.hpp"
 #include "runtime/net/termination.hpp"
@@ -148,8 +147,8 @@ struct rank_ctx {
   /// mirrors an aggregate row into the rank-0 engine probe, which is what
   /// puts distributed solves into /tracez and the slow-query log.
   void emit_telemetry(telemetry_phase phase, std::uint32_t superstep,
-                      std::uint64_t min_bucket, std::uint64_t ghost_labels,
-                      double vote_seconds, std::uint64_t backlog) {
+                      std::uint64_t ghost_labels, double vote_seconds,
+                      std::uint64_t backlog) {
     if (trace != nullptr) {
       obs::superstep_sample probe_sample;
       probe_sample.superstep = superstep;
@@ -161,7 +160,6 @@ struct rank_ctx {
           static_cast<float>(scratch.compute_seconds);
       probe_sample.barrier_wait_seconds =
           static_cast<float>(scratch.recv_wait_seconds + vote_seconds);
-      probe_sample.bucket = min_bucket;
       trace->probe().record(probe_sample);
     }
     if (!telemetry_on) return;
@@ -170,7 +168,6 @@ struct rank_ctx {
     t.phase = static_cast<std::uint8_t>(phase);
     t.superstep = superstep;
     t.visitors = scratch.visitors;
-    t.min_bucket = min_bucket;
     t.ghost_labels = ghost_labels;
     t.compute_nanos = to_nanos(scratch.compute_seconds);
     t.send_flush_nanos = to_nanos(scratch.send_flush_seconds);
@@ -191,7 +188,7 @@ struct rank_ctx {
   /// telemetry window with this instead of end_superstep: no vote ran.
   void emit_phase_telemetry(telemetry_phase phase,
                             std::uint64_t ghost_labels = 0) {
-    emit_telemetry(phase, 0, UINT64_MAX, ghost_labels, 0.0, 0);
+    emit_telemetry(phase, 0, ghost_labels, 0.0, 0);
   }
 
   /// Closes one superstep: runs the termination vote, emits the telemetry
@@ -202,16 +199,15 @@ struct rank_ctx {
   /// lockstep.
   vote_decision end_superstep(telemetry_phase phase, std::uint32_t superstep,
                               std::uint64_t outstanding,
-                              std::uint64_t min_bucket,
                               std::uint64_t sent_before) {
     const auto vote_t0 = clock::now();
     const vote_decision decision = vote.round(
         outstanding,
         config.budget != nullptr && config.budget->stop_requested(),
-        min_bucket, superstep);
+        superstep);
     const double vote_seconds = seconds_since(vote_t0);
     ++report.supersteps;
-    emit_telemetry(phase, superstep, min_bucket, 0, vote_seconds, outstanding);
+    emit_telemetry(phase, superstep, 0, vote_seconds, outstanding);
     net_superstep_sample sample;
     sample.superstep = superstep;
     sample.bytes_measured = net.stats().bytes_sent - sent_before;
@@ -234,10 +230,7 @@ struct rank_ctx {
 
 /// Phase 1: distributed Voronoi cell growth. Each superstep relaxes the
 /// rank's admitted frontier to a local fixed point (remote candidates batch
-/// per owner), exchanges batches, then votes on termination. Under bucketed
-/// growth only visitors in globally-open buckets are drained; the rest wait,
-/// and the vote's min-fold decides the next bucket — the distributed
-/// analogue of the cooperative engine's globally-lowest-bucket rounds.
+/// per owner), exchanges batches, then votes on termination.
 ///
 /// `initial` holds the owned bootstrap visitors (seeds, or the frontier that
 /// core::inject_fragments left over a pre-seeded `state`). A non-empty
@@ -245,22 +238,9 @@ struct rank_ctx {
 /// target's bound (see core::solve_assists), counting them into `pruned`.
 phase_metrics run_voronoi(rank_ctx& ctx, std::span<const net_visitor> initial,
                           std::span<const graph::weight_t> upper_bound,
-                          core::steiner_state& state,
-                          core::growth_stats& growth, std::uint64_t& pruned) {
+                          core::steiner_state& state, std::uint64_t& pruned) {
   phase_metrics metrics{};
   const auto t0 = clock::now();
-
-  const bool bucketed = ctx.config.growth == growth_mode::bucketed;
-  const std::uint64_t delta =
-      bucketed ? (ctx.config.bucket_delta != 0
-                      ? ctx.config.bucket_delta
-                      : graph::heuristic_delta(ctx.graph))
-               : 0;
-  growth.mode = ctx.config.growth;
-  growth.delta = delta;
-  const auto bucket_of = [&](graph::weight_t r) {
-    return bucketed ? r / delta : 0;
-  };
 
   // Relax at push: an owned vertex's label is written the moment a candidate
   // strictly improves it, and only improving candidates are queued. A queued
@@ -302,8 +282,6 @@ phase_metrics run_voronoi(rank_ctx& ctx, std::span<const net_visitor> initial,
   std::priority_queue<net_visitor, std::vector<net_visitor>,
                       decltype(visitor_after)>
       worklist(visitor_after);
-  std::vector<net_visitor> deferred;
-  std::uint64_t bucket_limit = 0;  // seeds start in bucket 0
   // At world 1 phase 1 is one superstep, so the vote alone would read the
   // budget only after the whole drain: poll it every k_poll_settles settles
   // and break to the vote, which folds the cancel bit for every rank.
@@ -317,20 +295,16 @@ phase_metrics run_voronoi(rank_ctx& ctx, std::span<const net_visitor> initial,
     const std::uint64_t remote_before = metrics.messages_remote;
     const auto compute_t0 = clock::now();
 
-    // Split the backlog into this superstep's open buckets and the rest,
-    // dropping entries superseded while they waited.
-    deferred.clear();
+    // Move the backlog into the worklist, dropping entries superseded while
+    // they waited.
     for (const net_visitor& v : pending) {
       if (!current(v)) {
         ++metrics.visitors_skipped;
-      } else if (bucket_of(v.r) <= bucket_limit) {
-        worklist.push(v);
       } else {
-        deferred.push_back(v);
+        worklist.push(v);
       }
     }
-    pending.swap(deferred);
-    if (bucketed && !worklist.empty()) ++growth.buckets_processed;
+    pending.clear();
 
     // Drain to a local fixed point; cross-partition candidates batch up.
     while (!worklist.empty()) {
@@ -348,11 +322,7 @@ phase_metrics run_voronoi(rank_ctx& ctx, std::span<const net_visitor> initial,
         if (ctx.owns(cand.vj)) {
           if (!admit(cand)) continue;
           ++metrics.messages_local;
-          if (bucket_of(cand.r) <= bucket_limit) {
-            worklist.push(cand);
-          } else {
-            pending.push_back(cand);
-          }
+          worklist.push(cand);
         } else {
           ++metrics.messages_remote;
           outbox[static_cast<std::size_t>(ctx.part.owner(cand.vj))]
@@ -414,15 +384,9 @@ phase_metrics run_voronoi(rank_ctx& ctx, std::span<const net_visitor> initial,
         metrics.queue_peak_items, static_cast<std::uint64_t>(pending.size()));
     ++metrics.rounds;
 
-    std::uint64_t min_bucket = UINT64_MAX;
-    for (const net_visitor& v : pending) {
-      min_bucket = std::min(min_bucket, bucket_of(v.r));
-    }
     const vote_decision decision = ctx.end_superstep(
-        telemetry_phase::voronoi, superstep, pending.size(), min_bucket,
-        sent_before);
+        telemetry_phase::voronoi, superstep, pending.size(), sent_before);
     if (decision.stop) break;
-    bucket_limit = bucketed ? decision.min_bucket : 0;
   }
 
   metrics.queue_peak_bytes = metrics.queue_peak_items * sizeof(net_visitor);
@@ -699,8 +663,7 @@ phase_metrics run_tree_edges(rank_ctx& ctx,
     worklist.swap(next);
     ++metrics.rounds;
     const vote_decision decision = ctx.end_superstep(
-        telemetry_phase::tree_walk, superstep, worklist.size(), UINT64_MAX,
-        sent_before);
+        telemetry_phase::tree_walk, superstep, worklist.size(), sent_before);
     if (decision.stop) break;
   }
   metrics.wall_seconds = seconds_since(t0);
@@ -815,7 +778,7 @@ core::steiner_result solve_rank(const graph::csr_graph& graph,
       }
       result.phases.phase(phase_names::voronoi) =
           run_voronoi(ctx, initial, assists.prune_upper_bound, state,
-                      result.growth, astats.pruned_visitors);
+                      astats.pruned_visitors);
       span.close(result.phases.phase(phase_names::voronoi));
       if (ctx.trace != nullptr && !assists.empty()) {
         ctx.trace->add_event("fragments_injected",

@@ -15,7 +15,7 @@
 //   drain admitted visitors to a local fixed point, batching cross-partition
 //   relaxations per destination owner -> flush batches + a superstep marker
 //   to every peer -> drain every peer's frames up to its marker -> two-phase
-//   termination vote (sum outstanding | OR cancel | min open bucket). A
+//   termination vote (sum outstanding | OR cancel). A
 //   confirmed all-idle vote ends the phase; a folded cancel bit unwinds all
 //   ranks together via util::operation_cancelled.
 //

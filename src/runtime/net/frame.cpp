@@ -324,24 +324,22 @@ std::vector<graph::weighted_edge> decode_edge_batch(const frame& f) {
   return out;
 }
 
-frame encode_vote(const bucket_vote& vote, bool confirm) {
-  wire_writer w(21);
+frame encode_vote(const superstep_vote& vote, bool confirm) {
+  wire_writer w(13);
   w.u64(vote.outstanding);
-  w.u64(vote.min_bucket);
   w.u32(vote.superstep);
   w.u8(vote.cancel);
   return frame{confirm ? frame_type::vote_confirm : frame_type::vote, w.take()};
 }
 
-bucket_vote decode_vote(const frame& f) {
+superstep_vote decode_vote(const frame& f) {
   if (f.type != frame_type::vote && f.type != frame_type::vote_confirm) {
     throw wire_error(std::string("vote: unexpected frame type ") +
                      to_string(f.type));
   }
   wire_reader r(f.payload);
-  bucket_vote v;
+  superstep_vote v;
   v.outstanding = r.u64();
-  v.min_bucket = r.u64();
   v.superstep = r.u32();
   v.cancel = r.u8();
   r.expect_done("vote");
@@ -363,12 +361,11 @@ std::uint32_t decode_marker(const frame& f) {
 }
 
 frame encode_telemetry(const rank_telemetry& sample) {
-  wire_writer w(69 + sample.peers.size() * 24);
+  wire_writer w(61 + sample.peers.size() * 24);
   w.u32(static_cast<std::uint32_t>(sample.rank));
   w.u8(sample.phase);
   w.u32(sample.superstep);
   w.u64(sample.visitors);
-  w.u64(sample.min_bucket);
   w.u64(sample.ghost_labels);
   w.u64(sample.compute_nanos);
   w.u64(sample.send_flush_nanos);
@@ -392,7 +389,6 @@ rank_telemetry decode_telemetry(const frame& f) {
   sample.phase = r.u8();
   sample.superstep = r.u32();
   sample.visitors = r.u64();
-  sample.min_bucket = r.u64();
   sample.ghost_labels = r.u64();
   sample.compute_nanos = r.u64();
   sample.send_flush_nanos = r.u64();

@@ -110,15 +110,15 @@ struct ghost_label {
 };
 
 /// One rank's contribution to a termination round: outstanding backlog
-/// (summed), cooperative-stop flag (OR-folded) and the lowest open
-/// delta-stepping bucket (min-folded; UINT64_MAX = none).
-struct bucket_vote {
+/// (summed) and cooperative-stop flag (OR-folded), tagged with the superstep
+/// it closes.
+struct superstep_vote {
   std::uint64_t outstanding = 0;
-  std::uint64_t min_bucket = UINT64_MAX;
   std::uint32_t superstep = 0;
   std::uint8_t cancel = 0;
 
-  friend bool operator==(const bucket_vote&, const bucket_vote&) = default;
+  friend bool operator==(const superstep_vote&,
+                         const superstep_vote&) = default;
 };
 
 /// One EN entry on the wire: canonical seed pair + its best bridge.
@@ -153,8 +153,8 @@ void decode_hello(const frame& f, int& rank, int& world);
 [[nodiscard]] std::vector<graph::weighted_edge> decode_edge_batch(
     const frame& f);
 
-[[nodiscard]] frame encode_vote(const bucket_vote& vote, bool confirm);
-[[nodiscard]] bucket_vote decode_vote(const frame& f);
+[[nodiscard]] frame encode_vote(const superstep_vote& vote, bool confirm);
+[[nodiscard]] superstep_vote decode_vote(const frame& f);
 
 [[nodiscard]] frame make_marker(std::uint32_t superstep);
 [[nodiscard]] std::uint32_t decode_marker(const frame& f);
@@ -165,7 +165,7 @@ void decode_hello(const frame& f, int& rank, int& world);
 /// Ordered by pipeline position so sorting by (phase, superstep, rank) yields
 /// the execution order of the whole solve.
 enum class telemetry_phase : std::uint8_t {
-  voronoi = 1,     ///< bucketed Voronoi growth supersteps (Alg. 4)
+  voronoi = 1,     ///< Voronoi growth supersteps (Alg. 4)
   ghost_sync = 2,  ///< boundary-label exchange (one-shot)
   en_reduce = 3,   ///< all-to-all EN reduction (one-shot, Alg. 5)
   tree_walk = 4,   ///< tree-edge walk-back supersteps (Alg. 6)
@@ -197,7 +197,6 @@ struct rank_telemetry {
   std::uint8_t phase = 0;  ///< a telemetry_phase value
   std::uint32_t superstep = 0;
   std::uint64_t visitors = 0;      ///< visitors/walks drained this window
-  std::uint64_t min_bucket = UINT64_MAX;  ///< open delta bucket (none = max)
   std::uint64_t ghost_labels = 0;  ///< boundary labels pushed (ghost phase)
   std::uint64_t compute_nanos = 0;     ///< local drain/relax work
   std::uint64_t send_flush_nanos = 0;  ///< encoding + flushing data batches

@@ -8,10 +8,10 @@
 // superstep) are parked instead of dropped. This is what makes the BSP
 // discipline safe over a transport with no global ordering.
 //
-// `termination_vote` folds one aggregate per rank — outstanding work (sum),
-// cooperative cancel (OR), next delta-stepping bucket (min) — across ranks
-// with an all-to-all exchange, then confirms an all-idle result with a second round. The
-// confirmation round is what makes termination sound: a rank can vote idle
+// `termination_vote` folds one aggregate per rank — outstanding work (sum)
+// and cooperative cancel (OR) — across ranks with an all-to-all exchange,
+// then confirms an all-idle result with a second round. The confirmation
+// round is what makes termination sound: a rank can vote idle
 // and then receive late visitors sent before the vote, so "everyone idle
 // once" is only a hypothesis until everyone re-affirms it with no traffic in
 // between. Both rounds ride the same frame path as data, so vote bytes show
@@ -64,9 +64,8 @@ class peer_channels {
 
 /// Folded result of one termination round.
 struct vote_decision {
-  bool stop = false;            ///< all ranks idle, confirmed — leave the loop
-  bool cancel = false;          ///< some rank requested cooperative cancel
-  std::uint64_t min_bucket = 0; ///< global min pending bucket (UINT64_MAX if none)
+  bool stop = false;    ///< all ranks idle, confirmed — leave the loop
+  bool cancel = false;  ///< some rank requested cooperative cancel
 };
 
 /// Two-phase all-to-all termination vote (propose, then confirm if idle).
@@ -75,16 +74,15 @@ class termination_vote {
   explicit termination_vote(peer_channels& chans);
 
   /// Runs one vote at the end of superstep `superstep`. `outstanding` is this
-  /// rank's pending-work count, `cancel` its cooperative-stop flag,
-  /// `min_bucket` its smallest pending bucket (UINT64_MAX when none).
+  /// rank's pending-work count, `cancel` its cooperative-stop flag.
   vote_decision round(std::uint64_t outstanding, bool cancel,
-                      std::uint64_t min_bucket, std::uint32_t superstep);
+                      std::uint32_t superstep);
 
   /// Total vote rounds executed (confirmation rounds included).
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
 
  private:
-  bucket_vote fold_once(const bucket_vote& mine, bool confirm);
+  superstep_vote fold_once(const superstep_vote& mine, bool confirm);
 
   peer_channels& chans_;
   std::uint64_t rounds_ = 0;

@@ -52,9 +52,6 @@ struct phase_metrics {
   std::uint64_t collective_bytes = 0;
   std::uint64_t queue_peak_items = 0;    ///< max simultaneously queued visitors
   std::uint64_t queue_peak_bytes = 0;
-  // Bucketed (delta-stepping) growth only; both stay 0 in strict order, so
-  // strict-mode metrics are unaffected.
-  std::uint64_t buckets_processed = 0;   ///< distinct buckets drained
 
   [[nodiscard]] std::uint64_t messages_total() const noexcept {
     return messages_local + messages_remote;

@@ -57,13 +57,8 @@ class visitor_engine {
     // A zero batch would drain nothing per round and never terminate; treat
     // it as the default.
     if (config_.batch_size == 0) config_.batch_size = 64;
-    bucketed_ = config_.growth == growth_mode::bucketed &&
-                config_.bucket_delta > 0;
-    mailboxes_.reserve(static_cast<std::size_t>(parts.num_ranks()));
-    for (int r = 0; r < parts.num_ranks(); ++r) {
-      mailboxes_.emplace_back(config.policy,
-                              bucketed_ ? config_.bucket_delta : 0);
-    }
+    mailboxes_.assign(static_cast<std::size_t>(parts.num_ranks()),
+                      mailbox<Visitor>(config.policy));
     round_work_.assign(static_cast<std::size_t>(parts.num_ranks()), 0.0);
   }
 
@@ -114,30 +109,11 @@ class visitor_engine {
       const double round_wall0 = sampling ? wall.seconds() : 0.0;
       ++metrics_.rounds;
       std::fill(round_work_.begin(), round_work_.end(), 0.0);
-      round_light_ = round_heavy_ = 0;
-      std::uint64_t round_bucket = k_no_bucket;
-      if (bucketed_) {
-        // The round drains the globally lowest bucket.
-        for (const auto& box : mailboxes_) {
-          round_bucket = std::min(round_bucket, box.min_bucket());
-        }
-        if (round_bucket != k_no_bucket && round_bucket != last_bucket_) {
-          ++metrics_.buckets_processed;
-          last_bucket_ = round_bucket;
-        }
-        current_bucket_ = round_bucket;
-      }
       for (int r = 0; r < p; ++r) {
         auto& box = mailboxes_[static_cast<std::size_t>(r)];
-        // Bucketed: drain the whole current bucket (relaxations only ever
-        // land in this bucket or later, so the loop terminates). Strict:
         // batch_size visitors in priority order.
-        for (std::size_t step = 0; !box.empty(); ++step) {
-          if (bucketed_) {
-            if (box.min_bucket() != round_bucket) break;
-          } else if (step >= config_.batch_size) {
-            break;
-          }
+        for (std::size_t step = 0; !box.empty() && step < config_.batch_size;
+             ++step) {
           Visitor v = box.pop();
           --pending_;
           emitter out(*this, r);
@@ -174,11 +150,6 @@ class visitor_engine {
         agg.work_units = static_cast<float>(round_max);
         agg.compute_seconds =
             static_cast<float>(wall.seconds() - round_wall0);
-        if (bucketed_) {
-          agg.bucket = current_bucket_;
-          agg.light = round_light_;
-          agg.heavy = round_heavy_;
-        }
         config_.probe->record(agg);
         for (int r = 0; r < p; ++r) {
           const double work = round_work_[static_cast<std::size_t>(r)];
@@ -207,16 +178,6 @@ class visitor_engine {
     // this is what makes a high-degree scatter expensive on its home rank
     // and what vertex delegates spread out.
     round_work_[static_cast<std::size_t>(from_rank)] += config_.costs.send_cost;
-    if (bucketed_) {
-      // Delta-stepping nomenclature: a relaxation landing in the bucket
-      // currently being drained is "light" (re-examined this round), one
-      // landing in a later bucket is "heavy" (settled once).
-      if (v.priority() / config_.bucket_delta == current_bucket_) {
-        ++round_light_;
-      } else {
-        ++round_heavy_;
-      }
-    }
     if (to_rank == from_rank) {
       ++metrics_.messages_local;
     } else {
@@ -254,15 +215,10 @@ class visitor_engine {
   partitioner parts_;
   Handler* handler_;
   engine_config config_;
-  bool bucketed_ = false;
   std::vector<mailbox<Visitor>> mailboxes_;
   std::vector<std::pair<int, Visitor>> staged_;  // BSP-deferred deliveries
   std::vector<double> round_work_;
   std::uint64_t pending_ = 0;
-  std::uint64_t current_bucket_ = k_no_bucket;  // bucket being drained
-  std::uint64_t last_bucket_ = k_no_bucket;     // for buckets_processed
-  std::uint32_t round_light_ = 0;
-  std::uint32_t round_heavy_ = 0;
   phase_metrics metrics_;
 };
 

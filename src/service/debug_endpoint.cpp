@@ -75,11 +75,6 @@ std::string debug_endpoint::render_statusz() const {
        s.fragments.fragments, s.fragments.bytes_in_use, s.fragment_assisted,
        s.oracle_builds);
   line(out,
-       "growth: bucketed_solves=%" PRIu64 " buckets=%" PRIu64 " tiles=%" PRIu64
-       " last_delta=%" PRIu64 " last_tile_threshold=%" PRIu64,
-       s.bucketed_solves, s.growth_buckets_processed, s.growth_tiles,
-       s.growth_last_delta, s.growth_last_tile_threshold);
-  line(out,
        "net: solves=%" PRIu64 " bytes_sent=%" PRIu64 " bytes_modelled=%" PRIu64
        " frames=%" PRIu64 " supersteps=%" PRIu64 " votes=%" PRIu64
        " ghost_labels=%" PRIu64,
@@ -98,10 +93,6 @@ std::string debug_endpoint::render_statusz() const {
        "latency: p50=%.6fs p99=%.6fs mean=%.6fs samples=%" PRIu64,
        snap.total.percentile(50.0), snap.total.percentile(99.0),
        snap.total.mean(), snap.total.count);
-  line(out,
-       "model: solve_p50=%.6fs modelled_p50=%.6fs abs_err_p50=%.6fs",
-       snap.cold_solve.percentile(50.0), snap.modelled_solve.percentile(50.0),
-       snap.model_abs_error.percentile(50.0));
   line(out, "slow_queries: total=%" PRIu64 " retained=%zu", s.slow_queries,
        service_.slow_log().size());
   line(out,

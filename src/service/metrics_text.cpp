@@ -361,25 +361,6 @@ std::string render_metrics_text(const service_snapshot& snap,
                  s.oracle_pruned_visitors);
   append_counter(out, prefix, "oracle_builds_total",
                  "Landmark table (re)builds", s.oracle_builds);
-  append_counter(out, prefix, "bucketed_solves_total",
-                 "Cold solves that ran phase 1 as bucketed delta-stepping "
-                 "(relaxed-determinism requests)",
-                 s.bucketed_solves);
-  append_counter(out, prefix, "growth_buckets_processed_total",
-                 "Delta-stepping buckets drained by bucketed phase-1 runs",
-                 s.growth_buckets_processed);
-  append_counter(out, prefix, "growth_tiles_emitted_total",
-                 "Edge tiles emitted for high-degree vertices under bucketed "
-                 "growth",
-                 s.growth_tiles);
-  append_gauge(out, prefix, "growth_last_bucket_delta",
-               "Resolved delta-stepping bucket width of the most recent "
-               "bucketed solve",
-               s.growth_last_delta);
-  append_gauge(out, prefix, "growth_last_tile_threshold",
-               "Resolved edge-tiling degree threshold of the most recent "
-               "bucketed solve",
-               s.growth_last_tile_threshold);
   append_counter(out, prefix, "net_solves_total",
                  "Cold solves executed on the distributed comm_backend mesh",
                  s.distributed_solves);
@@ -501,12 +482,6 @@ std::string render_metrics_text(const service_snapshot& snap,
                    "End-to-end latency of cache hits", snap.cache_hit_total);
   append_histogram(out, prefix, "query_seconds",
                    "End-to-end latency, all paths", snap.total);
-  append_histogram(out, prefix, "modelled_solve_seconds",
-                   "Cost-model predicted solve time for executed solves",
-                   snap.modelled_solve);
-  append_histogram(out, prefix, "model_abs_error_seconds",
-                   "Absolute wall-vs-model solve-time residual",
-                   snap.model_abs_error);
   append_histogram(out, prefix, "estimate_error_seconds",
                    "Absolute end-to-end vs admission-estimate residual",
                    snap.estimate_error);

@@ -188,27 +188,23 @@ std::uint64_t steiner_service::config_hash(
     const core::solver_config& config) noexcept {
   // Every output- or metrics-affecting field of solver_config and cost_model
   // must be hashed below — a field that drops out of the key lets two
-  // distinct configs share a cache entry. These asserts force this function
-  // to be revisited when either struct grows (update the expected size
-  // alongside the new hash line).
+  // distinct configs share a cache entry. These asserts pin the exact LP64
+  // sizes, so this function must be revisited whenever either struct grows
+  // *or shrinks*: update the expected size in both directions alongside the
+  // hash line, so no slack is left for a new field to hide in.
   // Deliberate exception #1: `budget` (cancellation/deadline) is NOT hashed —
   // it is pure QoS plumbing that can only abort a solve, never change its
   // output, so budgeted and unbudgeted runs share one cache entry.
   // Deliberate exception #2: `trace` is NOT hashed — tracing is pure
   // observation (traced and untraced solves are bit-identical), so both
   // share one cache entry.
-  // Deliberate exception #3: the growth knobs (growth, bucket_delta,
-  // tile_threshold) are NOT hashed — bucketed growth changes the phase-1
-  // schedule and therefore the metrics, but the output tree is the same
-  // lexicographic fixed point, so strict and relaxed queries deliberately
-  // share one cache entry (the cached tree is always the strict tree).
-  // Deliberate exception #4: `net_telemetry` is NOT hashed — the distributed
+  // Deliberate exception #3: `net_telemetry` is NOT hashed — the distributed
   // telemetry plane is pure observation like `trace` (it moves traffic
   // totals by its own frames but never the output tree), so telemetry-on
   // and -off runs share one cache entry.
   static_assert(sizeof(runtime::cost_model) == 8 * sizeof(double),
                 "cost_model changed: update config_hash");
-  static_assert(sizeof(core::solver_config) <= 104 + sizeof(runtime::cost_model),
+  static_assert(sizeof(core::solver_config) == 80 + sizeof(runtime::cost_model),
                 "solver_config changed: update config_hash");
   const auto f64 = [](double value) {
     return std::bit_cast<std::uint64_t>(value);
@@ -260,9 +256,9 @@ void steiner_service::note_stopped(detail::request_state& st,
 }
 
 executor::task steiner_service::make_task(
-    std::shared_ptr<detail::request_state> st, query q, bool relaxed) {
+    std::shared_ptr<detail::request_state> st, query q) {
   util::timer admitted;
-  return [this, st = std::move(st), q = std::move(q), relaxed,
+  return [this, st = std::move(st), q = std::move(q),
           admitted](double queue_wait) mutable {
     // Pickup checkpoint: a request cancelled or expired while it queued
     // resolves here without touching a solver — the worker moves straight on
@@ -278,8 +274,8 @@ executor::task steiner_service::make_task(
     try {
       query_result out =
           execute(std::move(q), queue_wait, admitted,
-                  exec_context{&st->budget, st->estimates, st->id, st->priority,
-                               relaxed});
+                  exec_context{&st->budget, st->estimates, st->id,
+                               st->priority});
       st->status.store(request_status::done, std::memory_order_release);
       st->promise.set_value(std::move(out));
     } catch (const util::operation_cancelled& stopped) {
@@ -358,8 +354,7 @@ void steiner_service::dispatch(request r,
     }
   };
 
-  executor::task t = make_task(
-      st, std::move(r.q), r.determinism == determinism_mode::relaxed);
+  executor::task t = make_task(st, std::move(r.q));
   if (mode == admission::block) {
     exec_.post(std::move(t), std::move(opts));  // throws once shutdown began
   } else if (!exec_.try_post(std::move(t), std::move(opts))) {
@@ -528,13 +523,12 @@ void steiner_service::remember_donor(donor_ptr donor, std::uint64_t epoch_id) {
 
 obs::query_features steiner_service::build_query_features(
     const graph::epoch_graph& epoch,
-    std::span<const graph::vertex_id> canonical,
-    const core::solver_config& solver_config, bool warm) const {
+    std::span<const graph::vertex_id> canonical, bool warm) const {
   using qf = obs::query_features;
   // Header counts only — materializing an overlay CSR at admission would
   // cost O(m) on the request path.
   obs::query_features f = core::extract_query_features(
-      epoch.num_vertices(), epoch.num_arcs(), canonical.size(), solver_config);
+      epoch.num_vertices(), epoch.num_arcs(), canonical.size());
   if (config_.enable_oracle) {
     f.x[qf::k_spread] = oracle_.seed_spread(epoch.fingerprint(), canonical);
   }
@@ -593,13 +587,8 @@ admission_estimates steiner_service::estimate_completion_seconds(
   } catch (const std::out_of_range&) {
     return est;
   }
-  core::solver_config solver_config = r.q.config.value_or(config_.solver);
-  // Relaxed requests will run (a cold solve) bucketed; apply the override
-  // here too so the learned model prices the tier that will actually run.
-  // The growth knobs are excluded from config_hash, so the key is shared.
-  if (r.determinism == determinism_mode::relaxed) {
-    solver_config.growth = runtime::growth_mode::bucketed;
-  }
+  const core::solver_config solver_config =
+      r.q.config.value_or(config_.solver);
   const cache_key key{
       epoch->fingerprint(),
       util::hash_range(canonical.data(), canonical.size(), 0x5eed),
@@ -644,7 +633,7 @@ admission_estimates steiner_service::estimate_completion_seconds(
   // the prediction is still exported for the side-by-side comparison.
   if (config_.cost_model.enabled) {
     const obs::query_features f =
-        build_query_features(*epoch, canonical, solver_config, warmable);
+        build_query_features(*epoch, canonical, warmable);
     const double predicted = cost_model_.predict_seconds(f);
     if (predicted > 0.0) {
       est.model = drain + predicted;
@@ -745,10 +734,6 @@ query_result steiner_service::execute(query q, double queue_wait,
   // QoS plumbing only — budget is deliberately absent from config_hash, so
   // it must be attached after the hash-relevant fields are settled.
   solver_config.budget = budget;
-  // Relaxed-determinism opt-in: a cold solve may run phase 1 bucketed. Like
-  // budget, growth is absent from config_hash (same output tree), so strict
-  // and relaxed queries share cache entries and coalesce with each other.
-  if (ctx.relaxed) solver_config.growth = runtime::growth_mode::bucketed;
 
   // Query-scoped tracing: origin back-dated to admission so the two service
   // spans (admission bookkeeping, queue wait) land before offset "now". Like
@@ -768,7 +753,7 @@ query_result steiner_service::execute(query q, double queue_wait,
   // Completion bookkeeping shared by every successful return path: SLO
   // scoring, estimate-error histograms, then trace finalize + retention
   // (slow log for threshold/SLO outliers, flight recorder for samples).
-  const auto finish_query = [&](double modelled) {
+  const auto finish_query = [&]() {
     const std::size_t cls = priority_index(ctx.priority);
     bool violating = false;
     if (config_.slo.enabled) {
@@ -790,8 +775,7 @@ query_result steiner_service::execute(query q, double queue_wait,
     }
     if (trace == nullptr) return;
     trace->finalize(ctx.request_id, out.query_id, queue_wait,
-                    out.solve_seconds, out.total_seconds, ctx.estimates.used,
-                    modelled);
+                    out.solve_seconds, out.total_seconds, ctx.estimates.used);
     out.trace = trace;
     const double threshold = config_.trace.slow_query_threshold_seconds;
     const bool slow = threshold > 0.0 && out.total_seconds >= threshold;
@@ -823,8 +807,7 @@ query_result steiner_service::execute(query q, double queue_wait,
       cache_hit_total_hist_.record(out.total_seconds);
     }
     total_hist_.record(out.total_seconds);
-    // Solver never ran on this path: no modelled time to compare against.
-    finish_query(0.0);
+    finish_query();
     return out;
   };
 
@@ -949,7 +932,6 @@ query_result steiner_service::execute(query q, double queue_wait,
   util::timer solve_timer;
   std::shared_ptr<core::solve_artifacts> artifacts;
   result_cache::entry_ptr entry;
-  double modelled = 0.0;
   try {
     // A solve is actually happening: materialize the epoch's CSR now.
     // Holding the shared_ptr keeps it valid even if the epoch retires
@@ -1040,22 +1022,6 @@ query_result steiner_service::execute(query q, double queue_wait,
       oracle_pruned_visitors_ += out.assist.pruned_visitors;
       out.kind = solve_kind::cold;
       ++cold_solves_;
-      if (out.result.growth.mode == runtime::growth_mode::bucketed) {
-        ++bucketed_solves_;
-        growth_buckets_processed_ += out.result.growth.buckets_processed;
-        growth_tiles_ += out.result.growth.tiles_emitted;
-        growth_last_delta_.store(out.result.growth.delta,
-                                 std::memory_order_relaxed);
-        growth_last_tile_threshold_.store(out.result.growth.tile_threshold,
-                                          std::memory_order_relaxed);
-        if (trace != nullptr) {
-          trace->add_event("bucketed_buckets",
-                           static_cast<double>(
-                               out.result.growth.buckets_processed));
-          trace->add_event("bucketed_tiles",
-                           static_cast<double>(out.result.growth.tiles_emitted));
-        }
-      }
       // Feed the admission model's spread baseline (only meaningful when
       // the oracle's lower side is usable; seed_spread returns 0 otherwise).
       if (config_.enable_oracle) {
@@ -1070,19 +1036,12 @@ query_result steiner_service::execute(query q, double queue_wait,
     out.solve_seconds = solve_timer.seconds();
     (out.kind == solve_kind::warm_start ? warm_solve_hist_ : cold_solve_hist_)
         .record(out.solve_seconds);
-    // Measured-vs-model: what the cost model says this solve should have
-    // cost, against what it did cost. Recorded for every real solve so the
-    // histograms work with tracing off.
-    modelled = out.result.phases.total().sim_seconds(solver_config.costs);
-    modelled_solve_hist_.record(modelled);
-    model_abs_error_hist_.record(std::abs(out.solve_seconds - modelled));
     // Train the admission cost model on what actually happened: realized
     // path (warm flag) and realized fragment assists, not the admission-time
     // guesses. One O(d^2) RLS update per real solve.
     if (config_.cost_model.enabled) {
       obs::query_features f = build_query_features(
-          *epoch, canonical, solver_config,
-          out.kind == solve_kind::warm_start);
+          *epoch, canonical, out.kind == solve_kind::warm_start);
       f.x[obs::query_features::k_fragments] =
           canonical.empty() ? 0.0
                             : static_cast<double>(out.assist.fragments_injected) /
@@ -1138,7 +1097,7 @@ query_result steiner_service::execute(query q, double queue_wait,
 
   out.total_seconds = admitted.seconds();
   total_hist_.record(out.total_seconds);
-  finish_query(modelled);
+  finish_query();
   return out;
 }
 
@@ -1160,11 +1119,6 @@ service_stats steiner_service::stats() const {
   s.stale_refreshes_deduped = stale_refreshes_deduped_.load();
   s.leader_abandoned = leader_abandoned_.load();
   s.slow_queries = slow_queries_.load();
-  s.bucketed_solves = bucketed_solves_.load();
-  s.growth_buckets_processed = growth_buckets_processed_.load();
-  s.growth_tiles = growth_tiles_.load();
-  s.growth_last_delta = growth_last_delta_.load();
-  s.growth_last_tile_threshold = growth_last_tile_threshold_.load();
   s.fragment_assisted = fragment_assisted_.load();
   s.fragment_hits = fragment_hits_.load();
   s.preseeded_vertices = preseeded_vertices_.load();
@@ -1202,8 +1156,6 @@ service_snapshot steiner_service::snapshot() const {
   snap.warm_solve = warm_solve_hist_.snapshot();
   snap.cache_hit_total = cache_hit_total_hist_.snapshot();
   snap.total = total_hist_.snapshot();
-  snap.modelled_solve = modelled_solve_hist_.snapshot();
-  snap.model_abs_error = model_abs_error_hist_.snapshot();
   snap.estimate_error = estimate_error_hist_.snapshot();
   snap.estimate_error_model = estimate_error_model_hist_.snapshot();
   snap.estimate_error_baseline = estimate_error_baseline_hist_.snapshot();

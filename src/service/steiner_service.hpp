@@ -182,13 +182,6 @@ struct service_stats {
   std::uint64_t slo_violations = 0;  ///< completions past their class objective
   std::uint64_t model_admissions = 0;  ///< admissions priced by the learned model
 
-  // Bucketed (relaxed-determinism) growth telemetry.
-  std::uint64_t bucketed_solves = 0;  ///< cold solves run with bucketed phase 1
-  std::uint64_t growth_buckets_processed = 0;  ///< delta-stepping buckets drained
-  std::uint64_t growth_tiles = 0;              ///< edge tiles emitted for hubs
-  std::uint64_t growth_last_delta = 0;  ///< resolved bucket width, last solve
-  std::uint64_t growth_last_tile_threshold = 0;  ///< resolved tile width, last
-
   // Distributed runtime traffic (runtime/net/), populated when
   // config.distributed.world >= 2. Bytes are whole-mesh sums over all ranks.
   std::uint64_t distributed_solves = 0;  ///< cold solves run on the net mesh
@@ -231,10 +224,6 @@ struct service_snapshot {
   latency_histogram::snapshot_data warm_solve;       ///< solver time, warm path
   latency_histogram::snapshot_data cache_hit_total;  ///< end-to-end, cache hits
   latency_histogram::snapshot_data total;            ///< end-to-end, all paths
-  // Measured-vs-model: what the perf model predicted for the solves that
-  // actually ran, and how far reality landed from two predictions.
-  latency_histogram::snapshot_data modelled_solve;  ///< cost-model solve time
-  latency_histogram::snapshot_data model_abs_error;  ///< |wall - modelled|
   latency_histogram::snapshot_data estimate_error;  ///< |total - admission est.|
   /// Paired learned-model-vs-baseline comparison: for every query whose
   /// admission was priced by the learned model, the absolute error of both
@@ -417,9 +406,8 @@ class steiner_service {
   void dispatch(request r, std::shared_ptr<detail::request_state> st,
                 admission mode);
   /// The worker-side task: lifecycle transitions around execute().
-  /// `relaxed` carries the request's determinism opt-in into exec_context.
   [[nodiscard]] executor::task make_task(
-      std::shared_ptr<detail::request_state> st, query q, bool relaxed = false);
+      std::shared_ptr<detail::request_state> st, query q);
   /// Terminal bookkeeping for a stopped (cancelled/expired) request.
   void note_stopped(detail::request_state& st, util::cancel_reason why);
   /// Predicted completion seconds (queue drain + solve estimate) for
@@ -433,8 +421,7 @@ class steiner_service {
   /// fragment-presence probe (warm solves don't borrow fragments).
   [[nodiscard]] obs::query_features build_query_features(
       const graph::epoch_graph& epoch,
-      std::span<const graph::vertex_id> canonical,
-      const core::solver_config& solver_config, bool warm) const;
+      std::span<const graph::vertex_id> canonical, bool warm) const;
   /// Per-request context execute() needs beyond the query itself. The
   /// defaults describe a background refresh: no budget, no admission
   /// estimates, no request id, background priority.
@@ -443,11 +430,6 @@ class steiner_service {
     admission_estimates estimates{};
     std::uint64_t request_id = 0;
     priority_class priority = priority_class::background;
-    /// Request opted into relaxed determinism: a cold solve may run phase 1
-    /// bucketed. Never set for cache/donor/refresh work — the shared state
-    /// those paths produce keeps the strict contract (the tree is identical
-    /// either way; see determinism_mode).
-    bool relaxed = false;
   };
   [[nodiscard]] query_result execute(query q, double queue_wait,
                                      util::timer admitted, exec_context ctx);
@@ -499,11 +481,8 @@ class steiner_service {
   latency_histogram warm_solve_hist_;
   latency_histogram cache_hit_total_hist_;
   latency_histogram total_hist_;
-  /// Measured-vs-model histograms: the cost model's predicted solve time for
-  /// each executed solve, and the absolute wall-vs-model / total-vs-estimate
-  /// residuals. Recorded regardless of tracing (they cost two atomics).
-  latency_histogram modelled_solve_hist_;
-  latency_histogram model_abs_error_hist_;
+  /// Absolute total-vs-admission-estimate residual of every completed query.
+  /// Recorded regardless of tracing (it costs one atomic).
   latency_histogram estimate_error_hist_;
   /// Paired comparison, recorded only for model-priced admissions: the
   /// learned model's absolute error and the baseline's on the same queries.
@@ -595,11 +574,6 @@ class steiner_service {
   std::atomic<std::uint64_t> stale_refreshes_{0};
   std::atomic<std::uint64_t> stale_refreshes_deduped_{0};
   std::atomic<std::uint64_t> leader_abandoned_{0};
-  std::atomic<std::uint64_t> bucketed_solves_{0};
-  std::atomic<std::uint64_t> growth_buckets_processed_{0};
-  std::atomic<std::uint64_t> growth_tiles_{0};
-  std::atomic<std::uint64_t> growth_last_delta_{0};
-  std::atomic<std::uint64_t> growth_last_tile_threshold_{0};
   std::atomic<std::uint64_t> fragment_assisted_{0};
   std::atomic<std::uint64_t> fragment_hits_{0};
   std::atomic<std::uint64_t> preseeded_vertices_{0};

@@ -1,6 +1,6 @@
-// Tests for the extension modules: delta-stepping (and the solver's bucketed
-// phase 1 built on it), binary graph IO, Yen's k-shortest paths, dual-ascent
-// lower bounds and key-path improvement.
+// Tests for the extension modules: delta-stepping, landmark-bound pruning on
+// the rank loop, binary graph IO, Yen's k-shortest paths, dual-ascent lower
+// bounds and key-path improvement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,8 +72,9 @@ TEST(DeltaStepping, LightHeavySplitObserved) {
 }
 
 TEST(DeltaStepping, MatchesDijkstraOnHubHeavyPowerLawGraph) {
-  // RMAT's skewed degree distribution is the shape that stresses bucketed
-  // scheduling: a few hubs own most arcs, so bucket membership churns hard.
+  // RMAT's skewed degree distribution is the shape that stresses
+  // delta-stepping buckets: a few hubs own most arcs, so bucket membership
+  // churns hard.
   graph::rmat_params params;
   params.scale = 10;
   params.edge_factor = 12;
@@ -106,65 +107,14 @@ TEST(DeltaStepping, UnreachableStaysInfinite) {
   EXPECT_EQ(ds.distance[2], graph::k_inf_distance);
 }
 
-// ---- Bucketed (delta-stepping) phase 1 in the solver.
+// ---- Landmark-bound pruning on the rank loop.
 
-void expect_same_tree(const core::steiner_result& a,
-                      const core::steiner_result& b) {
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
-  EXPECT_EQ(a.total_distance, b.total_distance);
-  EXPECT_EQ(a.num_seeds, b.num_seeds);
-  EXPECT_EQ(a.spans_all_seeds, b.spans_all_seeds);
-  EXPECT_EQ(a.distance_graph_edges, b.distance_graph_edges);
-}
-
-TEST(BucketedGrowth, TreeMatchesStrictOverRandomGraphs) {
-  for (std::uint64_t trial = 0; trial < 3; ++trial) {
-    const auto g = make_connected_graph(400, 1000, 0xB0C + trial);
-    const auto seeds = pick_seeds(g, 8 + trial * 2, trial);
-
-    core::solver_config strict;
-    strict.num_ranks = 8;
-    strict.validate = true;
-    const auto reference = core::solve_steiner_tree(g, seeds, strict);
-
-    core::solver_config relaxed = strict;
-    relaxed.growth = runtime::growth_mode::bucketed;
-    const auto result = core::solve_steiner_tree(g, seeds, relaxed);
-    expect_same_tree(result, reference);
-    EXPECT_EQ(result.growth.mode, runtime::growth_mode::bucketed);
-    EXPECT_GT(result.growth.delta, 0u);  // heuristic_delta resolved
-    EXPECT_GT(result.growth.buckets_processed, 0u);
-  }
-}
-
-TEST(BucketedGrowth, EdgeTilingOnHubMatchesStrict) {
-  // A star with delegates off forces the hub's scatter through the tile
-  // path: degree 599 over tile width 32 must emit ~19 tile work items.
-  graph::edge_list list = graph::generate_star(600);
-  graph::assign_uniform_weights(list, 1, 50, 0x77);
-  const graph::csr_graph g(list);
-  const auto seeds = pick_seeds(g, 9, 5);
-
-  core::solver_config strict;
-  strict.num_ranks = 8;
-  strict.use_delegates = false;
-  const auto reference = core::solve_steiner_tree(g, seeds, strict);
-
-  core::solver_config relaxed = strict;
-  relaxed.growth = runtime::growth_mode::bucketed;
-  relaxed.tile_threshold = 32;
-  const auto result = core::solve_steiner_tree(g, seeds, relaxed);
-  expect_same_tree(result, reference);
-  EXPECT_GT(result.growth.tiles_emitted, 0u);
-  EXPECT_EQ(result.growth.tile_threshold, 32u);
-}
-
-TEST(BucketedGrowth, OraclePruneKeepsTreeIdentical) {
+TEST(RankLoopOraclePrune, ExactBoundKeepsTreeIdentical) {
   const auto g = make_connected_graph(300, 1000, 0xFACE);
   const auto seeds = pick_seeds(g, 8, 4);
-  core::solver_config strict;
-  strict.num_ranks = 8;
-  const auto reference = core::solve_steiner_tree(g, seeds, strict);
+  core::solver_config config;
+  config.num_ranks = 8;
+  const auto reference = core::solve_steiner_tree(g, seeds, config);
 
   // Exact per-vertex min_s d(s, v): the tightest valid upper bound, so the
   // rank loop's admission drops every candidate it ever legally can.
@@ -178,15 +128,15 @@ TEST(BucketedGrowth, OraclePruneKeepsTreeIdentical) {
   core::solve_assists assists;
   assists.prune_upper_bound = bound;
 
-  core::solver_config relaxed = strict;
-  relaxed.growth = runtime::growth_mode::bucketed;
   core::assist_stats stats;
-  const auto result = runtime::net::solve_loopback(g, seeds, relaxed, 1,
+  const auto result = runtime::net::solve_loopback(g, seeds, config, 1,
                                                    nullptr, nullptr, assists,
                                                    &stats);
-  expect_same_tree(result, reference);
-  EXPECT_EQ(result.growth.mode, runtime::growth_mode::bucketed);
-  EXPECT_GT(result.growth.buckets_processed, 0u);
+  EXPECT_EQ(result.tree_edges, reference.tree_edges);
+  EXPECT_EQ(result.total_distance, reference.total_distance);
+  EXPECT_EQ(result.num_seeds, reference.num_seeds);
+  EXPECT_EQ(result.spans_all_seeds, reference.spans_all_seeds);
+  EXPECT_EQ(result.distance_graph_edges, reference.distance_graph_edges);
   EXPECT_GT(stats.pruned_visitors, 0u);
 }
 

@@ -7,8 +7,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -83,12 +86,13 @@ TEST(NetFrame, EnEntryRoundTrip) {
 }
 
 TEST(NetFrame, VoteRoundTrip) {
-  bucket_vote vote;
+  superstep_vote vote;
   vote.outstanding = 123;
-  vote.min_bucket = 9;
   vote.superstep = 17;
   vote.cancel = 1;
-  EXPECT_EQ(decode_vote(encode_vote(vote, false)), vote);
+  const frame proposal = encode_vote(vote, false);
+  EXPECT_EQ(proposal.payload.size(), 13u);
+  EXPECT_EQ(decode_vote(proposal), vote);
   const frame confirm = encode_vote(vote, true);
   EXPECT_EQ(confirm.type, frame_type::vote_confirm);
   EXPECT_EQ(decode_vote(confirm), vote);
@@ -119,7 +123,6 @@ TEST(NetFrame, TelemetryRoundTrip) {
   in.phase = static_cast<std::uint8_t>(telemetry_phase::voronoi);
   in.superstep = 17;
   in.visitors = 12345;
-  in.min_bucket = 9;
   in.ghost_labels = 77;
   in.compute_nanos = 1111;
   in.send_flush_nanos = 222;
@@ -129,7 +132,7 @@ TEST(NetFrame, TelemetryRoundTrip) {
 
   const frame f = encode_telemetry(in);
   EXPECT_EQ(f.type, frame_type::telemetry);
-  EXPECT_EQ(f.payload.size(), 69u + in.peers.size() * 24);
+  EXPECT_EQ(f.payload.size(), 61u + in.peers.size() * 24);
   EXPECT_EQ(decode_telemetry(f), in);
   // Whole-frame trip (what actually crosses the wire to rank 0).
   EXPECT_EQ(decode_telemetry(decode_frame(encode_frame(f))), in);
@@ -212,6 +215,204 @@ TEST(NetFrame, RejectsWrongType) {
   EXPECT_THROW((void)decode_vote(f), wire_error);
 }
 
+// ---- seeded corrupt-input sweep ---------------------------------------------
+
+/// One valid encoding of every frame type a rank decodes, filled from `gen`:
+/// hello, the five batch types, marker, vote, vote_confirm and telemetry.
+/// Batches carry enough records that the first 64 payload bytes are all
+/// record data.
+std::vector<frame> valid_frames(util::rng& gen) {
+  const auto any = [&gen] { return gen(); };
+  std::vector<net_visitor> visitors(3);
+  for (net_visitor& v : visitors) v = {any(), any(), any(), any()};
+  std::vector<vertex_id> walk(9);
+  for (vertex_id& v : walk) v = any();
+  std::vector<ghost_label> ghosts(3);
+  for (ghost_label& g : ghosts) g = {any(), any(), any()};
+  std::vector<wire_en_entry> en(2);
+  for (wire_en_entry& e : en) e = {any(), any(), any(), any(), any(), any()};
+  std::vector<graph::weighted_edge> edges(3);
+  for (graph::weighted_edge& e : edges) e = {any(), any(), any()};
+  superstep_vote vote;
+  vote.outstanding = any();
+  vote.superstep = static_cast<std::uint32_t>(any());
+  vote.cancel = static_cast<std::uint8_t>(any() & 1);
+  rank_telemetry sample;
+  sample.rank = 1;
+  sample.phase = static_cast<std::uint8_t>(telemetry_phase::voronoi);
+  sample.superstep = static_cast<std::uint32_t>(any());
+  sample.visitors = any();
+  sample.compute_nanos = any();
+  sample.peers.resize(2);
+  for (telemetry_peer_traffic& t : sample.peers) {
+    t = {static_cast<std::uint32_t>(any()), any(),
+         static_cast<std::uint32_t>(any()), any()};
+  }
+  return {encode_hello(1, 4),
+          encode_visitor_batch(visitors),
+          encode_walk_batch(walk),
+          encode_ghost_batch(ghosts),
+          encode_en_batch(en),
+          encode_edge_batch(edges),
+          make_marker(static_cast<std::uint32_t>(any())),
+          encode_vote(vote, false),
+          encode_vote(vote, true),
+          encode_telemetry(sample)};
+}
+
+/// Runs every typed decoder over `f`. Each must return or throw wire_error;
+/// any other exception is a failure tagged with `what`.
+void expect_decoders_contained(const frame& f, const std::string& what) {
+  const auto contained = [&](const char* decoder, auto&& decode) {
+    try {
+      decode();
+    } catch (const wire_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << decoder << " threw " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << what << ": " << decoder << " threw a non-exception";
+    }
+  };
+  contained("hello", [&] {
+    int rank = 0;
+    int world = 0;
+    decode_hello(f, rank, world);
+  });
+  contained("visitor_batch", [&] { (void)decode_visitor_batch(f); });
+  contained("walk_batch", [&] { (void)decode_walk_batch(f); });
+  contained("ghost_batch", [&] { (void)decode_ghost_batch(f); });
+  contained("en_batch", [&] { (void)decode_en_batch(f); });
+  contained("edge_batch", [&] { (void)decode_edge_batch(f); });
+  contained("marker", [&] { (void)decode_marker(f); });
+  contained("vote", [&] { (void)decode_vote(f); });
+  contained("telemetry", [&] { (void)decode_telemetry(f); });
+}
+
+/// Whole-buffer decode followed by every typed decoder, all contained.
+void expect_bytes_contained(std::span<const std::uint8_t> bytes,
+                            const std::string& what) {
+  frame f;
+  try {
+    f = decode_frame(bytes);
+  } catch (const wire_error&) {
+    return;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": decode_frame threw " << e.what();
+    return;
+  }
+  expect_decoders_contained(f, what);
+}
+
+void put_le32(std::vector<std::uint8_t>& bytes, std::size_t at,
+              std::uint32_t value) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(NetFrameCorruption, TruncationAtEveryLengthIsContained) {
+  util::rng gen(0xC0FFEE);
+  for (const frame& valid : valid_frames(gen)) {
+    const std::vector<std::uint8_t> bytes = encode_frame(valid);
+    const std::string name = to_string(valid.type);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      // The stream cut short: the header no longer matches the buffer.
+      const std::span<const std::uint8_t> cut(bytes.data(), len);
+      EXPECT_THROW((void)decode_frame(cut), wire_error) << name << " @" << len;
+      expect_bytes_contained(cut, name + " cut @" + std::to_string(len));
+    }
+    for (std::size_t len = 0; len < valid.payload.size(); ++len) {
+      // A payload cut short under a header that agrees with it.
+      frame shorter = valid;
+      shorter.payload.resize(len);
+      expect_decoders_contained(shorter,
+                                name + " payload @" + std::to_string(len));
+    }
+  }
+}
+
+TEST(NetFrameCorruption, BitFlipsInHeaderAndPayloadAreContained) {
+  util::rng gen(0xB17F11B);
+  for (const frame& valid : valid_frames(gen)) {
+    const std::vector<std::uint8_t> bytes = encode_frame(valid);
+    const std::string name = to_string(valid.type);
+    const std::size_t span =
+        std::min<std::size_t>(bytes.size(), k_header_bytes + 64);
+    for (std::size_t bit = 0; bit < span * 8; ++bit) {
+      std::vector<std::uint8_t> flipped = bytes;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      expect_bytes_contained(flipped, name + " bit " + std::to_string(bit));
+    }
+  }
+}
+
+TEST(NetFrameCorruption, InflatedLengthAndPeerCountAreRejected) {
+  util::rng gen(0x1E7617);
+  for (const frame& valid : valid_frames(gen)) {
+    const std::vector<std::uint8_t> bytes = encode_frame(valid);
+    const auto len = static_cast<std::uint32_t>(valid.payload.size());
+    for (const std::uint32_t inflated :
+         {len + 1, k_max_payload_bytes + 1, UINT32_MAX}) {
+      std::vector<std::uint8_t> patched = bytes;
+      put_le32(patched, 4, inflated);
+      EXPECT_THROW((void)decode_frame(patched), wire_error)
+          << to_string(valid.type) << " length " << inflated;
+    }
+  }
+
+  // telemetry's peer_count sits after the fixed 57-byte prefix.
+  rank_telemetry sample;
+  sample.phase = static_cast<std::uint8_t>(telemetry_phase::ghost_sync);
+  sample.peers.resize(3);
+  const frame valid = encode_telemetry(sample);
+  ASSERT_EQ(valid.payload.size(), 61u + 3 * 24);
+  for (const std::uint32_t count :
+       {std::uint32_t{4}, k_max_payload_bytes + 1, UINT32_MAX}) {
+    frame patched = valid;
+    put_le32(patched.payload, 57, count);
+    EXPECT_THROW((void)decode_telemetry(patched), wire_error)
+        << "peer_count " << count;
+  }
+}
+
+TEST(NetFrameCorruption, RejectsPreviousVoteAndTelemetryLayouts) {
+  // The vote used to carry a u64 bucket between outstanding and superstep
+  // (21 bytes); telemetry carried one after visitors (69 bytes, no peers).
+  superstep_vote vote;
+  vote.outstanding = 3;
+  vote.superstep = 2;
+  frame old_vote = encode_vote(vote, false);
+  ASSERT_EQ(old_vote.payload.size(), 13u);
+  old_vote.payload.insert(old_vote.payload.begin() + 8, 8, 0);
+  ASSERT_EQ(old_vote.payload.size(), 21u);
+  EXPECT_THROW((void)decode_vote(old_vote), wire_error);
+
+  rank_telemetry sample;
+  sample.phase = static_cast<std::uint8_t>(telemetry_phase::voronoi);
+  frame old_telemetry = encode_telemetry(sample);
+  ASSERT_EQ(old_telemetry.payload.size(), 61u);
+  old_telemetry.payload.insert(old_telemetry.payload.begin() + 17, 8, 0xFF);
+  ASSERT_EQ(old_telemetry.payload.size(), 69u);
+  EXPECT_THROW((void)decode_telemetry(old_telemetry), wire_error);
+}
+
+TEST(NetFrameCorruption, SeededRandomOverwritesAreContained) {
+  util::rng gen(0x5EEDF00D);
+  for (const frame& valid : valid_frames(gen)) {
+    const std::vector<std::uint8_t> bytes = encode_frame(valid);
+    for (int trial = 0; trial < 256; ++trial) {
+      std::vector<std::uint8_t> garbled = bytes;
+      const std::uint64_t writes = gen.uniform(1, 4);
+      for (std::uint64_t w = 0; w < writes; ++w) {
+        garbled[gen.uniform(0, garbled.size() - 1)] =
+            static_cast<std::uint8_t>(gen());
+      }
+      expect_bytes_contained(garbled, std::string(to_string(valid.type)) +
+                                          " trial " + std::to_string(trial));
+    }
+  }
+}
+
 // ---- loopback mesh ----------------------------------------------------------
 
 TEST(NetLoopback, DeliversPerPeerFifoWithStats) {
@@ -256,24 +457,23 @@ TEST(NetTermination, TwoPhaseVoteStopsOnlyWhenAllIdle) {
   std::thread peer([&] {
     peer_channels chans(mesh.endpoint(1));
     termination_vote vote(chans);
-    d1 = vote.round(5, false, 2, 0);  // this rank still has work
+    d1 = vote.round(5, false, 0);  // this rank still has work
   });
   peer_channels chans(mesh.endpoint(0));
   termination_vote vote(chans);
-  d0 = vote.round(0, false, UINT64_MAX, 0);
+  d0 = vote.round(0, false, 0);
   peer.join();
   EXPECT_FALSE(d0.stop);
   EXPECT_FALSE(d1.stop);
-  EXPECT_EQ(d0.min_bucket, 2u);  // min-folded across ranks
 
   std::thread peer2([&] {
     peer_channels c(mesh.endpoint(1));
     termination_vote v(c);
-    d1 = v.round(0, false, UINT64_MAX, 1);
+    d1 = v.round(0, false, 1);
   });
   peer_channels c0(mesh.endpoint(0));
   termination_vote v0(c0);
-  d0 = v0.round(0, false, UINT64_MAX, 1);
+  d0 = v0.round(0, false, 1);
   peer2.join();
   EXPECT_TRUE(d0.stop);   // proposed idle + confirmed idle
   EXPECT_TRUE(d1.stop);
@@ -316,18 +516,6 @@ TEST(NetDistSolve, LoopbackMatchesSingleProcessAcrossWorldSizes) {
       }
     }
   }
-}
-
-TEST(NetDistSolve, BucketedGrowthMatchesStrict) {
-  const graph::csr_graph g = make_connected_graph(250, 30, 77);
-  const auto seeds = pick_seeds(g, 5, 0xABC);
-  core::solver_config strict;
-  const auto reference = core::solve_steiner_tree(g, seeds, strict);
-
-  core::solver_config bucketed = strict;
-  bucketed.growth = runtime::growth_mode::bucketed;
-  const auto distributed = solve_loopback(g, seeds, bucketed, 3);
-  expect_identical(distributed, reference);
 }
 
 TEST(NetDistSolve, RmatGraphMatches) {
